@@ -29,11 +29,14 @@ from .modular import (
     PrimeModulus,
     canonical_connection_sets,
     canonicalize,
+    connection_set_residues,
     mod_inverse,
     primes_up_to,
 )
 
 DEFAULT_EXACT_CAP = 24
+# int32 subset masks and the 2^m DP table both stop being viable past 30
+EXACT_CEILING = 30
 
 Edge = tuple[Hashable, Hashable]
 
@@ -56,11 +59,8 @@ class CayleyGraph:
 
     def __init__(self, p: int | PrimeModulus, A: Iterable[int]):
         pm = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
-        elems = tuple(sorted(x % pm.p for x in A))
-        if not elems or elems[0] == 0 or len(set(elems)) != len(elems):
-            raise ValueError("connection set must be distinct nonzero residues")
         object.__setattr__(self, "modulus", pm)
-        object.__setattr__(self, "A", elems)
+        object.__setattr__(self, "A", connection_set_residues(A, pm))
 
     @property
     def p(self) -> int:
@@ -151,7 +151,7 @@ def deletion_set(G: CayleyGraph, k: int) -> DeletionSet:
     p = G.p
     if not 1 <= k <= p - 1:
         raise ValueError(f"k must be in [1, {p - 1}]")
-    u = mod_inverse(k, p)
+    u = mod_inverse(k, G.modulus)
     out = set()
     for a in G.A:
         r = (u * a) % p
@@ -172,7 +172,7 @@ def beta_upper(G: CayleyGraph) -> tuple[int, int]:
     best = p * G.d
     best_k = 1
     for k in range(1, p):
-        u = mod_inverse(k, p)
+        u = mod_inverse(k, G.modulus)
         s = 0
         for a in G.A:
             s += (u * a) % p
@@ -221,9 +221,9 @@ def beta_exact(edge_list: Iterable[Edge], cap: int = DEFAULT_EXACT_CAP) -> int:
             if w not in seen:
                 seen[w] = len(seen)
     m = len(seen)
-    # int32 subset masks and the 2^m DP table both stop being viable past 30
-    if m > min(cap, 30):
-        raise CapExceededError(m, min(cap, 30))
+    limit = min(cap, EXACT_CEILING)
+    if m > limit:
+        raise CapExceededError(m, limit)
     if not simple:
         return len(loops)
     pred = [0] * m
@@ -370,16 +370,24 @@ def scan_css(
 
     Sets are enumerated up to scalar equivalence (A and cA are isomorphic via
     x -> cx). Each row records the bounds, the girth, and whether d falls in
-    the window p/4 < d < p/3.
+    the window p/4 < d < p/3. The budget counts subsets, the sum over primes
+    of C(p-1, d). With exact, a prime past the cap is refused before any work.
     """
     primes = [p for p in primes_up_to(p_max) if p > 2]
     total = sum(math.comb(p - 1, d) for p in primes)
     if total > budget:
         raise BudgetExceededError(total, budget)
+    if exact and d >= 1:
+        limit = min(cap, EXACT_CEILING)
+        # each class graph has p vertices, and primes p <= d have no class
+        too_big = next((p for p in primes if p > max(limit, d)), None)
+        if too_big is not None:
+            raise CapExceededError(too_big, limit)
     rows = []
     for p in primes:
-        for A in canonical_connection_sets(p, d):
-            G = CayleyGraph(p, A)
+        pm = PrimeModulus(p)
+        for A in canonical_connection_sets(pm, d):
+            G = CayleyGraph(pm, A)
             report = css_check(G, exact=exact, cap=cap)
             rows.append(
                 ScanRow(

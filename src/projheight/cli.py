@@ -351,7 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("-d", "--d", type=int, required=True, help="connection set size")
     p_scan.add_argument("--exact", action="store_true", help="compute exact beta per instance")
     p_scan.add_argument(
-        "--budget", type=int, default=DEFAULT_POINT_BUDGET, help="instance enumeration budget"
+        "--budget",
+        type=int,
+        default=DEFAULT_POINT_BUDGET,
+        help="enumeration budget in subsets: the sum over primes p of C(p-1, d)",
     )
     p_scan.add_argument("--out", help="write the full report to this path")
     add_format(p_scan)

@@ -24,6 +24,7 @@ from .modular import (
     ProjectivePoint,
     canonical_connection_sets,
     canonicalize,
+    connection_set_residues,
     d_star,
 )
 
@@ -341,9 +342,7 @@ def is_k_sum_free(A: Iterable[int], k: int, p: int | PrimeModulus) -> SumFreeCer
     pm = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
     if k < 1:
         raise ValueError("k must be at least 1")
-    elems = tuple(sorted(x % pm.p for x in A))
-    if not elems or elems[0] == 0 or len(set(elems)) != len(elems):
-        raise ValueError("A must be a nonempty set of distinct nonzero residues")
+    elems = connection_set_residues(A, pm)
     for size in range(1, k + 1):
         for combo in itertools.combinations_with_replacement(elems, size):
             if sum(combo) % pm.p == 0:

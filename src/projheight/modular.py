@@ -141,24 +141,43 @@ def d_star(a: ProjectivePoint) -> int:
     return sum(1 for c in a.coords if c)
 
 
-def connection_set_canonical(A: Iterable[int], p: int | PrimeModulus) -> tuple[int, ...]:
-    """Smallest scalar multiple of the set A: min over c in F_p* of sorted(c*A)."""
+def connection_set_residues(A: Iterable[int], p: int | PrimeModulus) -> tuple[int, ...]:
+    """The residues of A modulo p, sorted; ValueError unless nonempty, distinct and nonzero."""
     pv = _modulus_value(p)
     elems = tuple(sorted(x % pv for x in A))
-    if len(set(elems)) != len(elems) or not elems or elems[0] == 0:
+    if not elems or elems[0] == 0 or len(set(elems)) != len(elems):
         raise ValueError("connection set must be distinct nonzero residues")
-    return min(tuple(sorted((c * a) % pv for a in elems)) for c in range(1, pv))
+    return elems
+
+
+def _least_multiple(elems: tuple[int, ...], p: int) -> tuple[int, ...]:
+    # The least sorted(c*A) starts with 1, and c*A contains 1 only for c = a^-1.
+    inverses = [pow(a, -1, p) for a in elems]
+    return min(tuple(sorted(c * x % p for x in elems)) for c in inverses)
+
+
+def connection_set_canonical(A: Iterable[int], p: int | PrimeModulus) -> tuple[int, ...]:
+    """Smallest scalar multiple of the set A: min over c in F_p* of sorted(c*A).
+
+    The minimum starts with 1, and c*A contains 1 only when c = a^-1 for some
+    a in A, so only those d multipliers are tried: O(d^2 log d), not O(p d log d).
+    """
+    pm = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
+    return _least_multiple(connection_set_residues(A, pm), pm.p)
 
 
 def canonical_connection_sets(p: int | PrimeModulus, d: int) -> Iterator[tuple[int, ...]]:
     """Each scalar-equivalence class of d-subsets of F_p*, once, in lexicographic order.
 
     A set is emitted iff it equals its own canonical form, so the stream is the
-    sorted list of class representatives.
+    sorted list of class representatives. A canonical set starts with 1, so
+    only the C(p-2, d-1) sets (1,) + rest are tested, each against its d
+    multiples a^-1 * A: O(C(p-2, d-1) * d^2 log d) in all.
     """
     pv = _modulus_value(p)
     if d < 1:
         raise ValueError("connection sets need d >= 1")
-    for combo in itertools.combinations(range(1, pv), d):
-        if connection_set_canonical(combo, pv) == combo:
-            yield combo
+    for rest in itertools.combinations(range(2, pv), d - 1):
+        A = (1,) + rest
+        if _least_multiple(A, pv) == A:
+            yield A

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from projheight.cayley import (
+    DEFAULT_EXACT_CAP,
     BetaReport,
     CapExceededError,
     CayleyGraph,
@@ -352,6 +353,20 @@ class TestScanCss:
     def test_empty_range(self):
         rep = scan_css(2, 2)
         assert rep.instances == 0 and rep.rows == ()
+
+    def test_exact_cap_checked_before_any_work(self, monkeypatch):
+        def no_dp(*args, **kwargs):
+            raise AssertionError("beta_exact ran before the cap check")
+
+        monkeypatch.setattr("projheight.cayley.beta_exact", no_dp)
+        with pytest.raises(CapExceededError) as info:
+            scan_css(29, 2, exact=True)
+        assert info.value.size == 29 and info.value.cap == DEFAULT_EXACT_CAP
+        with pytest.raises(CapExceededError) as info:
+            scan_css(31, 2, exact=True, cap=100)
+        assert info.value.size == 31 and info.value.cap == 30
+        # primes with no d-subset have no graph to refuse
+        assert scan_css(7, 7, exact=True, cap=5).rows == ()
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError) as info:

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import itertools
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -138,22 +142,48 @@ def test_connection_set_canonical():
         connection_set_canonical((3, 3), 7)
 
 
-@pytest.mark.parametrize(
-    "p,d,count",
-    [(3, 2, 1), (5, 2, 2), (7, 2, 3), (11, 2, 5), (13, 2, 6), (23, 2, 11), (7, 3, 4), (19, 3, 46)],
-)
+def burnside_class_count(p: int, d: int) -> int:
+    """Scalar classes of d-subsets of F_p*: by Burnside, as orbits of d-subsets
+    of a cyclic group of order n = p - 1 under rotation."""
+    n = p - 1
+    fixed = 0
+    for k in range(1, math.gcd(n, d) + 1):
+        if n % k == 0 and d % k == 0:
+            phi = sum(math.gcd(j, k) == 1 for j in range(1, k + 1))
+            fixed += phi * math.comb(n // k, d // k)
+    return fixed // n
+
+
+def brute_scalar_minima(p: int, d: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Every d-subset A of F_p* in lex order, with min over all c in 1..p-1 of sorted(c*A).
+
+    Each sorted multiple is compared as its base-p digit string, which keeps
+    the lexicographic order of tuples with entries below p.
+    """
+    subsets = list(itertools.combinations(range(1, p), d))
+    rows = np.array(subsets, dtype=np.int64).reshape(len(subsets), d)
+    weights = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    best = np.full(len(subsets), np.iinfo(np.int64).max)
+    for c in range(1, p):
+        np.minimum(best, np.sort(c * rows % p, axis=1) @ weights, out=best)
+    minima = [tuple(row) for row in (best[:, None] // weights % p).tolist()]
+    return subsets, minima
+
+
+# Every prime p <= 31 with 1 <= d <= min(5, p-1), plus d = p, which has no class.
+CLASS_COUNT_CASES = [
+    (p, d, burnside_class_count(p, d))
+    for p in primes_up_to(31)
+    for d in (*range(1, min(5, p - 1) + 1), p)
+]
+
+
+@pytest.mark.parametrize("p,d,count", CLASS_COUNT_CASES)
 def test_canonical_connection_set_counts(p, d, count):
+    subsets, minima = brute_scalar_minima(p, d)
     classes = list(canonical_connection_sets(p, d))
     assert len(classes) == count
-    assert classes == sorted(classes)
-    # each emitted set is its own canonical form and classes partition everything
-    for A in classes:
-        assert connection_set_canonical(A, p) == A
-
-
-def test_canonical_connection_sets_cover_all_subsets():
-    import itertools
-
-    p, d = 11, 2
-    reps = {connection_set_canonical(A, p) for A in itertools.combinations(range(1, p), d)}
-    assert reps == set(canonical_connection_sets(p, d))
+    # the representatives are exactly the distinct brute minima, in lex order
+    assert classes == sorted(set(minima))
+    pm = PrimeModulus(p)
+    assert [connection_set_canonical(A, pm) for A in subsets] == minima
