@@ -187,3 +187,11 @@ def test_canonical_connection_set_counts(p, d, count):
     assert classes == sorted(set(minima))
     pm = PrimeModulus(p)
     assert [connection_set_canonical(A, pm) for A in subsets] == minima
+
+
+def test_canonical_connection_sets_cover_all_subsets():
+    p, d = 11, 2
+    reps = {connection_set_canonical(A, p) for A in itertools.combinations(range(1, p), d)}
+    assert reps == set(canonical_connection_sets(p, d))
+    # both agree with the independent minimum over all c in 1..p-1
+    assert reps == set(brute_scalar_minima(p, d)[1])
