@@ -22,11 +22,13 @@ from .heights import (
     DEFAULT_POINT_BUDGET,
     BudgetExceededError,
     SumFreeCertificate,
-    height,
+    heights_of,
     is_k_sum_free,
+    minimizers_of,
 )
 from .modular import (
     PrimeModulus,
+    as_modulus,
     canonical_connection_sets,
     canonicalize,
     connection_set_residues,
@@ -58,9 +60,8 @@ class CayleyGraph:
     A: tuple[int, ...]
 
     def __init__(self, p: int | PrimeModulus, A: Iterable[int]):
-        pm = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
-        object.__setattr__(self, "modulus", pm)
-        object.__setattr__(self, "A", connection_set_residues(A, pm))
+        object.__setattr__(self, "modulus", as_modulus(p))
+        object.__setattr__(self, "A", connection_set_residues(A, self.modulus))
 
     @property
     def p(self) -> int:
@@ -164,21 +165,26 @@ def deletion_set(G: CayleyGraph, k: int) -> DeletionSet:
 def beta_upper(G: CayleyGraph) -> tuple[int, int]:
     """Minimum deletion-set size over all multiplier orderings, with its witness.
 
-    Returns (value, k) for the smallest k attaining the minimum; the value
-    equals the height of <a_1, ..., a_d> and so bounds the feedback arc set
-    size from above.
+    Ordering k has sum_a (k^-1 * a mod p) backward edges: the sum of the
+    canonical point <A/a_1> at multiplier v = a_1 * k^-1. So the value is its
+    height h, and the witness, the smallest k attaining it, is the least
+    a_1 * v^-1 mod p over the minimizers v, all of which have v <= h - d + 1.
+    Work is O(h*d), not O(p*d).
     """
-    p = G.p
-    best = p * G.d
-    best_k = 1
-    for k in range(1, p):
-        u = mod_inverse(k, G.modulus)
-        s = 0
-        for a in G.A:
-            s += (u * a) % p
-        if s < best:
-            best, best_k = s, k
-    return best, best_k
+    return _upper_bounds(G.modulus, [G.A])[0]
+
+
+def _upper_bounds(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """beta_upper of each connection set in sets, all of one size, in one kernel call."""
+    p = pm.p
+    A = np.array(sets, dtype=np.int64)
+    lead = A[:, 0].tolist()
+    tails = A[:, 1:] * np.array([pow(a, -1, p) for a in lead])[:, None] % p
+    heights, _ = heights_of(tails, p)
+    witness = [p] * len(lead)
+    for row, v in minimizers_of(tails, p, heights).tolist():
+        witness[row] = min(witness[row], lead[row] * pow(v, -1, p) % p)
+    return list(zip(heights.tolist(), witness))
 
 
 def _popcount16_table() -> np.ndarray:
@@ -285,16 +291,19 @@ class BetaReport:
     violations: tuple[str, ...]
 
 
-def css_check(G: CayleyGraph, exact: bool = False, cap: int = DEFAULT_EXACT_CAP) -> BetaReport:
+def css_check(
+    G: CayleyGraph, exact: bool = False, cap: int = DEFAULT_EXACT_CAP, upper: tuple | None = None
+) -> BetaReport:
     """Populate a BetaReport and evaluate the CSS assertions that apply.
 
     Triangle-free graphs with d = 2 and p >= 7 must satisfy the chain
     beta_upper <= (p-1)/2 <= gamma/2; a triangle-free graph with an exact beta
     must satisfy beta_exact <= gamma/2. Failures are recorded, not raised.
+    upper is the pair beta_upper(G) when the caller has already computed it.
     """
     cert = is_triangle_free(G)
     g = gamma(G)
-    upper, witness_k = beta_upper(G)
+    upper, witness_k = beta_upper(G) if upper is None else upper
     exact_beta = beta_exact(edges(G), cap=cap) if exact else None
     bounds = [upper] if exact_beta is None else [upper, exact_beta]
     margin = Fraction(g, 2) - min(bounds)
@@ -386,9 +395,10 @@ def scan_css(
     rows = []
     for p in primes:
         pm = PrimeModulus(p)
-        for A in canonical_connection_sets(pm, d):
+        classes = list(canonical_connection_sets(pm, d))
+        for A, upper in zip(classes, _upper_bounds(pm, classes) if classes else ()):
             G = CayleyGraph(pm, A)
-            report = css_check(G, exact=exact, cap=cap)
+            report = css_check(G, exact=exact, cap=cap, upper=upper)
             rows.append(
                 ScanRow(
                     p=p,

@@ -23,16 +23,17 @@ from .cayley import (
 from .heights import (
     DEFAULT_POINT_BUDGET,
     BudgetExceededError,
-    _line_fast_path,
     gap_scan,
     height,
+    height_upper_bound,
     line_bound_certificates,
+    line_fast_path,
     line_height_fast,
     line_height_table,
     spectrum,
 )
-from .modular import canonicalize, primes_up_to
-from .report import FORMATS, OutputRecord, _cell, render
+from .modular import canonicalize, d_star, primes_up_to
+from .report import FORMATS, OutputRecord, cell, render
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -83,8 +84,6 @@ def _join(values, sep: str = ":") -> str:
 def cmd_height(args: argparse.Namespace) -> OutputRecord:
     coords = _parse_int_list(args.a)
     point = canonicalize(coords, args.p)
-    nonzero = sum(1 for c in point.coords if c)
-    bound_average = nonzero * point.p // 2
     if point.d == 2 and point.coords[0] == 1 and point.coords[1] != 0:
         record = line_height_fast(point.coords[1], point.modulus)
         certs = dict(line_bound_certificates(point.coords[1], point.modulus))
@@ -94,12 +93,12 @@ def cmd_height(args: argparse.Namespace) -> OutputRecord:
     row = {
         "p": point.p,
         "point": _join(point.coords),
-        "d_star": nonzero,
+        "d_star": d_star(point),
         "height": record.height,
         "argmin_k": record.argmin_k,
         "method": record.method,
         "rule": record.rule,
-        "bound_average": bound_average,
+        "bound_average": height_upper_bound(point),
         "bound_direct": certs.get("direct"),
         "bound_complement": certs.get("complement"),
     }
@@ -123,13 +122,16 @@ def cmd_table(args: argparse.Namespace) -> OutputRecord:
             raise InputError("--pmin must not exceed --pmax")
         primes = [p for p in primes_up_to(args.pmax) if p >= args.pmin and p > 2]
         parameters = {"pmin": args.pmin, "pmax": args.pmax}
+    too_big = next((p for p in primes if (p - 1) ** 2 > DEFAULT_POINT_BUDGET), None)
+    if too_big is not None:
+        raise BudgetExceededError((too_big - 1) ** 2, DEFAULT_POINT_BUDGET)
     rows = []
     for p in primes:
         if p < 5:
             continue  # a ranges over [2, p-2], empty below 5
         heights_row, argmins = line_height_table(p)
         for a in range(2, p - 1):
-            fast = _line_fast_path(a, p)
+            fast = line_fast_path(a, p)
             rows.append(
                 {
                     "p": p,
@@ -382,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(rendered)
         for key in sorted(record.summary):
-            print(f"{key}: {_cell(record.summary[key])}")
+            print(f"{key}: {cell(record.summary[key])}")
         print(f"report written to {out_path}")
     else:
         sys.stdout.write(rendered)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,13 +21,17 @@ import numpy as np
 from .modular import (
     PrimeModulus,
     ProjectivePoint,
+    as_modulus,
     canonical_connection_sets,
-    canonicalize,
     connection_set_residues,
     d_star,
 )
 
 DEFAULT_POINT_BUDGET = 5_000_000
+
+# 8 MiB per int64 block. On a 2-vCPU VM 2**21 took two spectra from 54 to 78 MB
+# peak, and 2**19 slowed the line tables up to p = 997 from 0.33 to 0.53 s.
+_BLOCK_CELLS = 1 << 20
 
 
 class BudgetExceededError(Exception):
@@ -41,7 +44,7 @@ class BudgetExceededError(Exception):
 
 
 def _odd_modulus(p: int | PrimeModulus) -> PrimeModulus:
-    pm = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
+    pm = as_modulus(p)
     if pm.p == 2:
         raise ValueError("heights require an odd prime modulus")
     return pm
@@ -66,28 +69,62 @@ class HeightRecord:
         return self.point.p
 
 
-def height(a: ProjectivePoint) -> HeightRecord:
-    """Exact height of a point, by scanning multipliers k = 1..p-1.
+def _residue_sums(tails: np.ndarray, ks: np.ndarray, p: int) -> np.ndarray:
+    """sums[i, j]: the multiplier-ks[j] sum of <1, tails[i]>; entries below p keep int64 exact."""
+    sums = np.repeat(ks[None, :], len(tails), axis=0)
+    term = np.empty_like(sums)
+    for col in tails.T:
+        np.multiply(col[:, None], ks, out=term)
+        sums += np.remainder(term, p, out=term)
+    return sums
 
-    Ties take the smallest k. A canonical point has leading coordinate 1, so
-    the k-th sum is at least k + d*(a) - 1; the scan stops as soon as k alone
-    rules out any improvement.
+
+def heights_of(tails: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Heights and smallest argmin multipliers of the points <1, t>, one row t of int64 tails each.
+
+    Sums are formed in blocks of at most _BLOCK_CELLS (point, k) cells; k-blocks
+    start at 1024 and double. The k-th sum of <1, t> is at least k + (nonzeros
+    of t), so a group of rows stops once that bound reaches every row's best.
+    Only a strictly smaller sum replaces the best, so ties keep the least k.
     """
-    pm = _odd_modulus(a.modulus)
-    p = pm.p
-    nonzero = [c for c in a.coords if c]
-    ds = len(nonzero)
-    best = p * ds
-    best_k = 1
-    for k in range(1, p):
-        if k + ds - 1 >= best:
-            break
-        s = 0
-        for c in nonzero:
-            s += (k * c) % p
-        if s < best:
-            best, best_k = s, k
-    return HeightRecord(a, best, best_k, "brute")
+    heights = np.full(len(tails), p * (tails.shape[1] + 1), dtype=np.int64)
+    argmins = np.ones(len(tails), dtype=np.int64)
+    first = min(1024, p - 1)
+    group = max(1, _BLOCK_CELLS // first)
+    for lo in range(0, len(tails), group):
+        rows, best, best_k = (x[lo : lo + group] for x in (tails, heights, argmins))
+        floor, k, width = np.count_nonzero(rows, axis=1), 1, first
+        while k < p and (k + floor < best).any():
+            width = max(1, min(width, _BLOCK_CELLS // len(rows), p - k))
+            sums = _residue_sums(rows, np.arange(k, k + width, dtype=np.int64), p)
+            arg = sums.argmin(axis=1)
+            low = sums[np.arange(len(rows)), arg]
+            better = low < best
+            best[better], best_k[better] = low[better], k + arg[better]
+            k, width = k + width, 2 * width
+    return heights, argmins
+
+
+def minimizers_of(tails: np.ndarray, p: int, heights: np.ndarray) -> np.ndarray:
+    """Every (row, k) whose sum is that row's height h, from heights_of(tails, p)[0].
+
+    Only k <= h - (nonzeros of t) can attain h; they are scanned in blocks of at
+    most _BLOCK_CELLS cells while rows are fewer.
+    """
+    last = min(p - 1, int((heights - np.count_nonzero(tails, axis=1)).max()))
+    width = max(1, _BLOCK_CELLS // len(tails))
+    found = []
+    for k in range(1, last + 1, width):
+        sums = _residue_sums(tails, np.arange(k, min(k + width, last + 1), dtype=np.int64), p)
+        found.append(np.argwhere(sums == heights[:, None]) + [0, k])
+    return np.concatenate(found)
+
+
+def height(a: ProjectivePoint) -> HeightRecord:
+    """Exact height of a point, with the smallest k attaining it; zero coordinates add nothing."""
+    tail = [c for c in a.coords if c][1:]
+    heights, argmins = heights_of(np.array([tail], dtype=np.int64), _odd_modulus(a.modulus).p)
+    return HeightRecord(a, int(heights[0]), int(argmins[0]), "brute")
 
 
 def height_upper_bound(a: ProjectivePoint) -> int:
@@ -95,7 +132,7 @@ def height_upper_bound(a: ProjectivePoint) -> int:
     return d_star(a) * a.p // 2
 
 
-def _line_fast_path(a: int, p: int) -> tuple[int, int, str] | None:
+def line_fast_path(a: int, p: int) -> tuple[int, int, str] | None:
     """Closed-form (height, argmin_k, rule) for <1, a> where one is exact.
 
     The cases overlap for small p but always agree where they do; the order
@@ -129,7 +166,7 @@ def line_height_fast(a: int, p: int | PrimeModulus) -> HeightRecord:
     if a == 0:
         raise ValueError("a must be nonzero")
     point = ProjectivePoint((1, a), pm)
-    hit = _line_fast_path(a, pm.p)
+    hit = line_fast_path(a, pm.p)
     if hit is None:
         return height(point)
     h, k, rule = hit
@@ -158,37 +195,15 @@ def line_bound_certificates(a: int, p: int | PrimeModulus) -> list[tuple[str, in
 def line_height_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Heights and smallest argmin multipliers of <1, a> for a = 1..p-1.
 
-    Returns read-only arrays indexed by a-1. The kernel evaluates all
-    (p-1)^2 residue sums at once, so it refuses p beyond the point budget.
+    Returns read-only arrays indexed by a-1, from one heights_of call. Its
+    blocks bound the memory, so no p is refused; a group of rows stops once
+    k + 1 reaches each row's best sum, and time is O(p^2) at worst.
     """
-    pm = _odd_modulus(p)
-    p = pm.p
-    if (p - 1) ** 2 > DEFAULT_POINT_BUDGET:
-        raise BudgetExceededError((p - 1) ** 2, DEFAULT_POINT_BUDGET)
-    k = np.arange(1, p, dtype=np.int64)
-    a = np.arange(1, p, dtype=np.int64)
-    sums = k[:, None] + (k[:, None] * a[None, :]) % p
-    heights = sums.min(axis=0)
-    # argmin returns the first of equal minima, which is the smallest k
-    argmins = sums.argmin(axis=0) + 1
+    p = _odd_modulus(p).p
+    heights, argmins = heights_of(np.arange(1, p, dtype=np.int64)[:, None], p)
     heights.flags.writeable = False
     argmins.flags.writeable = False
     return heights, argmins
-
-
-def _bulk_heights(coords: np.ndarray, p: int) -> np.ndarray:
-    """Heights of many points at once; coords has one point per row."""
-    n = coords.shape[0]
-    k = np.arange(1, p, dtype=np.int64)
-    out = np.empty(n, dtype=np.int64)
-    chunk = max(1, 2_000_000 // (p - 1))
-    for lo in range(0, n, chunk):
-        block = coords[lo : lo + chunk]
-        acc = np.zeros((p - 1, block.shape[0]), dtype=np.int64)
-        for j in range(block.shape[1]):
-            acc += (k[:, None] * block[:, j][None, :]) % p
-        out[lo : lo + chunk] = acc.min(axis=0)
-    return out
 
 
 @dataclass(frozen=True)
@@ -235,34 +250,18 @@ class SpectrumBoundsReport:
 
 def spectrum(p: int | PrimeModulus, d: int, budget: int = DEFAULT_POINT_BUDGET) -> HeightSpectrum:
     """Enumerate every canonical point of P^(d-1)(F_p) and aggregate heights."""
-    pm = _odd_modulus(p)
-    p = pm.p
+    p = _odd_modulus(p).p
     if d < 2:
         raise ValueError("spectra are defined for d >= 2")
     n_points = (p**d - 1) // (p - 1)
     if n_points > budget:
         raise BudgetExceededError(n_points, budget)
-    counts: Counter[int] = Counter()
-    if d == 2 and (p - 1) ** 2 <= DEFAULT_POINT_BUDGET:
-        line, _ = line_height_table(p)
-        for v, c in zip(*np.unique(line, return_counts=True)):
-            counts[int(v)] += int(c)
-        counts[1] += 2  # the axis points <1,0> and <0,1>
-    else:
-        counts[1] += 1  # the point with a single trailing 1
-        for lead in range(d - 1):
-            nfree = d - 1 - lead
-            n_block = p**nfree
-            cols = np.empty((n_block, nfree + 1), dtype=np.int64)
-            cols[:, 0] = 1
-            idx = np.arange(n_block, dtype=np.int64)
-            for j in range(nfree, 0, -1):
-                cols[:, j] = idx % p
-                idx //= p
-            hts = _bulk_heights(cols, p)
-            for v, c in zip(*np.unique(hts, return_counts=True)):
-                counts[int(v)] += int(c)
-    values = tuple(sorted(counts))
+    tally = np.zeros(d * p, dtype=np.int64)  # every height is below d*p
+    for nfree in range(d):
+        # the points <0, ..., 0, 1, t> with nfree free coordinates t
+        tails = np.indices((p,) * nfree, dtype=np.int64).reshape(nfree, p**nfree).T
+        tally += np.bincount(heights_of(tails, p)[0], minlength=d * p)
+    values = tuple(np.flatnonzero(tally).tolist())
     gaps = tuple(
         (lo, hi) for lo, hi in zip(values, values[1:]) if hi > lo + 1
     )
@@ -271,7 +270,7 @@ def spectrum(p: int | PrimeModulus, d: int, budget: int = DEFAULT_POINT_BUDGET) 
         d=d,
         values=values,
         max_height=values[-1],
-        count_per_value=dict(sorted(counts.items())),
+        count_per_value={v: int(tally[v]) for v in values},
         gaps=gaps,
     )
 
@@ -305,7 +304,8 @@ def gap_scan(
     """Test whether P^1(F_p) achieves any height inside the given rational window.
 
     The comparison is exact: an achieved height h is inside iff
-    p/(r+1) + c < h < p/r - c as rationals.
+    p/(r+1) + c < h < p/r - c as rationals. The achieved heights are the
+    cached line table's and 1; the p + 1 points count against the budget.
     """
     pm = _odd_modulus(p)
     if r < 1:
@@ -313,10 +313,12 @@ def gap_scan(
     c = Fraction(c)
     if c < 0:
         raise ValueError("c must be nonnegative")
-    sp = spectrum(pm, 2, budget)
+    if pm.p + 1 > budget:
+        raise BudgetExceededError(pm.p + 1, budget)
+    values = np.union1d(line_height_table(pm.p)[0], [1]).tolist()
     lower = Fraction(pm.p, r + 1) + c
     upper = Fraction(pm.p, r) - c
-    inside = tuple(v for v in sp.values if lower < v < upper)
+    inside = tuple(v for v in values if lower < v < upper)
     return GapScanReport(
         p=pm.p, r=r, c=c, lower=lower, upper=upper, empty=not inside, inside=inside
     )
@@ -339,7 +341,7 @@ class SumFreeCertificate:
 
 def is_k_sum_free(A: Iterable[int], k: int, p: int | PrimeModulus) -> SumFreeCertificate:
     """Check all multisets of size 1..k from A for a zero sum modulo p."""
-    pm = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
+    pm = as_modulus(p)
     if k < 1:
         raise ValueError("k must be at least 1")
     elems = connection_set_residues(A, pm)
@@ -380,24 +382,19 @@ def max_height_k_free(
     total = math.comb(pm.p - 1, d)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    best: int | None = None
-    arg: tuple[int, ...] | None = None
-    qualifying = 0
-    classes = 0
-    for A in canonical_connection_sets(pm, d):
-        classes += 1
-        if not is_k_sum_free(A, k, pm).ok:
-            continue
-        qualifying += 1
-        h = height(canonicalize(A, pm)).height
-        if best is None or h > best:
-            best, arg = h, A
+    classes = list(canonical_connection_sets(pm, d))
+    free = [A for A in classes if is_k_sum_free(A, k, pm).ok]
+    best = arg = None
+    if free:
+        # every class starts with 1, so its tail is the rest; argmax takes the first set
+        heights, _ = heights_of(np.array(free, dtype=np.int64)[:, 1:], pm.p)
+        best, arg = int(heights.max()), free[int(heights.argmax())]
     return KFreeSearchReport(
         p=pm.p,
         d=d,
         k=k,
         max_height=best,
         argmax=arg,
-        qualifying=qualifying,
-        classes=classes,
+        qualifying=len(free),
+        classes=len(classes),
     )

@@ -66,20 +66,19 @@ class PrimeModulus:
             raise ValueError(f"{self.p} is not prime")
 
 
-def _modulus_value(p: int | PrimeModulus) -> int:
-    if isinstance(p, PrimeModulus):
-        return p.p
-    return PrimeModulus(p).p
+def as_modulus(p: int | PrimeModulus) -> PrimeModulus:
+    """p itself if it is a PrimeModulus, else PrimeModulus(p), which validates it."""
+    return p if isinstance(p, PrimeModulus) else PrimeModulus(p)
 
 
 def mod_reduce(x: int, p: int | PrimeModulus) -> int:
     """Least nonnegative residue of x modulo p; correct for negative x."""
-    return x % _modulus_value(p)
+    return x % as_modulus(p).p
 
 
 def mod_inverse(a: int, p: int | PrimeModulus) -> int:
     """The inverse of a modulo p, in [1, p-1]."""
-    pv = _modulus_value(p)
+    pv = as_modulus(p).p
     a = a % pv
     if a == 0:
         raise ValueError("0 has no inverse")
@@ -125,7 +124,7 @@ def canonicalize(raw: Sequence[int], p: int | PrimeModulus) -> ProjectivePoint:
     Reduces coordinates mod p and scales so the first nonzero coordinate is 1.
     Any two representatives of the same class yield identical results.
     """
-    pm = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
+    pm = as_modulus(p)
     coords = [x % pm.p for x in raw]
     lead = next((c for c in coords if c), None)
     if lead is None:
@@ -143,7 +142,7 @@ def d_star(a: ProjectivePoint) -> int:
 
 def connection_set_residues(A: Iterable[int], p: int | PrimeModulus) -> tuple[int, ...]:
     """The residues of A modulo p, sorted; ValueError unless nonempty, distinct and nonzero."""
-    pv = _modulus_value(p)
+    pv = as_modulus(p).p
     elems = tuple(sorted(x % pv for x in A))
     if not elems or elems[0] == 0 or len(set(elems)) != len(elems):
         raise ValueError("connection set must be distinct nonzero residues")
@@ -162,7 +161,7 @@ def connection_set_canonical(A: Iterable[int], p: int | PrimeModulus) -> tuple[i
     The minimum starts with 1, and c*A contains 1 only when c = a^-1 for some
     a in A, so only those d multipliers are tried: O(d^2 log d), not O(p d log d).
     """
-    pm = p if isinstance(p, PrimeModulus) else PrimeModulus(p)
+    pm = as_modulus(p)
     return _least_multiple(connection_set_residues(A, pm), pm.p)
 
 
@@ -174,7 +173,7 @@ def canonical_connection_sets(p: int | PrimeModulus, d: int) -> Iterator[tuple[i
     only the C(p-2, d-1) sets (1,) + rest are tested, each against its d
     multiples a^-1 * A: O(C(p-2, d-1) * d^2 log d) in all.
     """
-    pv = _modulus_value(p)
+    pv = as_modulus(p).p
     if d < 1:
         raise ValueError("connection sets need d >= 1")
     for rest in itertools.combinations(range(2, pv), d - 1):

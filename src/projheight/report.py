@@ -29,7 +29,7 @@ class OutputRecord:
     schema_version: str = SCHEMA_VERSION
 
 
-def _cell(value: object) -> str:
+def cell(value: object) -> str:
     if value is None:
         return ""
     if value is True:
@@ -44,7 +44,7 @@ def render_csv(record: OutputRecord) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(record.columns)
     for row in record.rows:
-        writer.writerow([_cell(row.get(col)) for col in record.columns])
+        writer.writerow([cell(row.get(col)) for col in record.columns])
     return buf.getvalue()
 
 
@@ -63,19 +63,19 @@ def render_json(record: OutputRecord) -> str:
 def render_text(record: OutputRecord) -> str:
     lines = [f"# {record.command}"]
     for key in sorted(record.parameters):
-        lines.append(f"# {key} = {_cell(record.parameters[key])}")
+        lines.append(f"# {key} = {cell(record.parameters[key])}")
     if record.rows:
         lines.append("")
         table = [list(record.columns)]
         for row in record.rows:
-            table.append([_cell(row.get(col)) for col in record.columns])
+            table.append([cell(row.get(col)) for col in record.columns])
         widths = [max(len(r[i]) for r in table) for i in range(len(record.columns))]
         for r in table:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
+            lines.append("  ".join(text.ljust(w) for text, w in zip(r, widths)).rstrip())
     if record.summary:
         lines.append("")
         for key in sorted(record.summary):
-            lines.append(f"{key}: {_cell(record.summary[key])}")
+            lines.append(f"{key}: {cell(record.summary[key])}")
     return "\n".join(lines) + "\n"
 
 

@@ -49,6 +49,13 @@ def perm_beta(edge_list):
     return best
 
 
+def brute_upper(A, p):
+    """(min over k of sum_a (k^-1 * a mod p), the smallest k attaining it), over every k."""
+    sums = [sum((pow(k, -1, p) * a) % p for a in A) for k in range(1, p)]
+    best = min(sums)
+    return best, sums.index(best) + 1
+
+
 def sumset_girth(A, p):
     """Smallest L >= 1 with some length-L multiset from A summing to 0 mod p."""
     reach = {0}
@@ -201,6 +208,24 @@ class TestBetaUpper:
         for k2 in range(1, k):
             assert deletion_set(G, k2).size > value
 
+    def test_matches_brute_on_every_small_set(self):
+        for p in (3, 5, 7, 11, 13):
+            for d in range(1, min(4, p - 1) + 1):
+                for A in itertools.combinations(range(1, p), d):
+                    assert beta_upper(CayleyGraph(p, A)) == brute_upper(A, p), (p, A)
+
+    @pytest.mark.parametrize("p", [5, 13, 101, 1009])
+    def test_tie_heavy_sets(self, p):
+        # {a, p-a} costs p for every ordering; so does {1, p-1}; and d = 1 ties nowhere
+        for A in [(1, p - 1), (2, p - 2), (3, p - 3), (p - 1,), (3,), (1, 2, p - 1)]:
+            assert beta_upper(CayleyGraph(p, A)) == brute_upper(A, p), (p, A)
+
+    def test_samples_at_1009(self):
+        rng = random.Random(1009)
+        for _ in range(40):
+            A = tuple(sorted(rng.sample(range(1, 1009), rng.randint(2, 5))))
+            assert beta_upper(CayleyGraph(1009, A)) == brute_upper(A, 1009), A
+
 
 class TestBetaExact:
     def test_base_cases(self):
@@ -345,10 +370,17 @@ class TestScanCss:
         for row in rep.rows:
             G = CayleyGraph(row.p, row.A)
             assert row.triangle_free == (row.shortest_cycle > 3)
-            assert row.beta_upper == beta_upper(G)[0]
+            assert (row.beta_upper, row.witness_k) == beta_upper(G)
             assert row.gamma == gamma(G)
             assert row.beta_exact == beta_exact(edges(G))
             assert row.beta_exact <= row.beta_upper
+
+    def test_batched_bounds_match_single_graph(self):
+        # d = 1 leaves empty tails; d = p - 1 ties every multiplier
+        for d in (1, 3, 4, 6, 12):
+            for row in scan_css(13, d).rows:
+                assert (row.beta_upper, row.witness_k) == beta_upper(CayleyGraph(row.p, row.A))
+                assert (row.beta_upper, row.witness_k) == brute_upper(row.A, row.p)
 
     def test_empty_range(self):
         rep = scan_css(2, 2)

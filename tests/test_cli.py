@@ -9,7 +9,7 @@ import pytest
 
 from projheight.cayley import CssScanReport, ScanRow
 from projheight.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
-from projheight.report import _cell
+from projheight.report import cell
 
 
 def run(argv, capsys):
@@ -82,6 +82,15 @@ class TestTableCommand:
         code, out, _ = run(["table", "--pmin", "3", "--pmax", "3", "--format", "csv"], capsys)
         assert code == EXIT_OK
         assert out == "p,a,height,argmin_k,method\n"
+
+    def test_limit_refused_before_any_table(self, capsys, monkeypatch):
+        def no_table(p):
+            raise AssertionError("a line table was built before the limit check")
+
+        monkeypatch.setattr("projheight.cli.line_height_table", no_table)
+        code, out, err = run(["table", "--pmin", "3", "--pmax", "2239"], capsys)
+        assert code == EXIT_LIMIT and out == ""
+        assert err == "error: enumeration needs 5008644 evaluations, budget is 5000000\n"
 
     def test_range_required(self, capsys):
         code, _, err = run(["table"], capsys)
@@ -266,4 +275,4 @@ class TestDeterminism:
         assert header == payload["columns"]
         assert len(csv_rows) == len(payload["rows"])
         for csv_row, json_row in zip(csv_rows, payload["rows"]):
-            assert csv_row == [_cell(json_row[col]) for col in header]
+            assert csv_row == [cell(json_row[col]) for col in header]

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from projheight import heights
 from projheight.heights import (
     BudgetExceededError,
-    _line_fast_path,
     gap_scan,
     height,
     height_upper_bound,
     is_k_sum_free,
     line_bound_certificates,
+    line_fast_path,
     line_height_fast,
     line_height_table,
     max_height_k_free,
@@ -29,6 +30,27 @@ ODD_PRIMES = tuple(p for p in primes_up_to(100) if p > 2)
 def brute_height(coords, p):
     """Reference implementation: the defining minimum, no shortcuts."""
     return min(sum((k * c) % p for c in coords) for k in range(1, p))
+
+
+def brute_record(coords, p):
+    """(height, smallest k attaining it), by the defining minimum."""
+    sums = [sum((k * c) % p for c in coords) for k in range(1, p)]
+    h = min(sums)
+    return h, sums.index(h) + 1
+
+
+def pruned_line_record(a, p):
+    """(height, smallest k) of <1, a> in pure Python, stopping once k + 1 >= best.
+
+    The k-th sum is k + (k*a mod p) >= k + 1, so no later k can do better.
+    """
+    best, best_k, k = p + 1, 1, 1
+    while k + 1 < best:
+        s = k + (k * a) % p
+        if s < best:
+            best, best_k = s, k
+        k += 1
+    return best, best_k
 
 
 def test_height_examples():
@@ -128,8 +150,54 @@ def test_line_fast_path_rules_are_exhaustive_over_special_a():
         (30, "a=p-1"),
         (5, "a^2<p"),
     ]:
-        hit = _line_fast_path(a, p)
+        hit = line_fast_path(a, p)
         assert hit is not None and hit[2] == rule
+
+
+@pytest.mark.parametrize("cells", [5, 64])
+class TestKernelBlockEdges:
+    """heights_of with tiny blocks, so every group and k-block boundary is crossed."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_blocks(self, monkeypatch, cells):
+        monkeypatch.setattr(heights, "_BLOCK_CELLS", cells)
+
+    def test_line_tables(self, cells):
+        for p in ODD_PRIMES:
+            hts, ams = line_height_table.__wrapped__(p)
+            got = list(zip(hts.tolist(), ams.tolist()))
+            assert got == [brute_record((1, a), p) for a in range(1, p)], p
+
+    def test_spectra(self, cells):
+        import itertools
+
+        for p in (3, 5, 7, 11, 13):
+            for d in (2, 3, 4):
+                counts: dict[int, int] = {}
+                for lead in range(d):
+                    for rest in itertools.product(range(p), repeat=d - 1 - lead):
+                        h = brute_height((0,) * lead + (1,) + rest, p)
+                        counts[h] = counts.get(h, 0) + 1
+                assert spectrum(p, d).count_per_value == counts, (p, d)
+
+    def test_leading_zeros_and_d1(self, cells):
+        for p in (3, 7, 13, 31):
+            for coords in [(1,), (0, 1), (0, 0, 1, 5), (0, 3, 0, 9, 2), (0, 0, 0, 1)]:
+                rec = height(canonicalize(coords, p))
+                assert (rec.height, rec.argmin_k) == brute_record(rec.point.coords, p)
+
+    def test_line_points_at_max_modulus(self, cells):
+        p = 2**31 - 1
+        for a in (3, 46341, 123456789, 987654321, 1234567890):
+            rec = height(canonicalize((1, a), p))
+            assert (rec.height, rec.argmin_k) == pruned_line_record(a, p), a
+
+
+def test_line_height_table_has_no_cap():
+    hts, ams = line_height_table(2239)
+    assert len(hts) == 2238 and int(hts[-1]) == 2239 and int(ams[-1]) == 1
+    for a in (7, 1000, 2237):
+        assert (int(hts[a - 1]), int(ams[a - 1])) == pruned_line_record(a, 2239)
 
 
 def test_line_bound_certificates():
@@ -228,6 +296,9 @@ def test_gap_scan_windows():
         gap_scan(11, 0)
     with pytest.raises(ValueError):
         gap_scan(11, 1, -1)
+    with pytest.raises(BudgetExceededError) as info:
+        gap_scan(11, budget=11)
+    assert info.value.required == 12
 
 
 def test_gap_scan_exact_rational_window():
