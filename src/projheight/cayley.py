@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Hashable, Iterable, Sequence
@@ -86,18 +86,15 @@ def is_triangle_free(G: CayleyGraph) -> SumFreeCertificate:
 def gamma(G: CayleyGraph) -> int:
     """Number of unordered nonadjacent vertex pairs.
 
-    Loop-free and digon-free graphs have exactly p(p-1-2d)/2 such pairs;
-    otherwise the pairs are counted directly.
+    x and y are adjacent iff y - x lies in A or -A, so each vertex has
+    |A u -A| neighbours and gamma = p(p-1-|A u -A|)/2, digons included.
     """
     p = G.p
-    members = set(G.A)
-    if any((p - a) % p in members for a in G.A):
-        return gamma_direct(G)
-    return p * (p - 1 - 2 * G.d) // 2
+    return p * (p - 1 - len(set(G.A) | {p - a for a in G.A})) // 2
 
 
 def gamma_direct(G: CayleyGraph) -> int:
-    """gamma by direct pair counting; the cross-check branch for the closed form."""
+    """gamma by direct pair counting; the reference for the closed form."""
     p = G.p
     adjacent = {(min(u, v), max(u, v)) for u, v in edges(G) if u != v}
     return p * (p - 1) // 2 - len(adjacent)
@@ -278,7 +275,8 @@ class BetaReport:
     """Feedback arc set bounds and CSS assertion outcomes for one graph.
 
     css_margin is gamma/2 minus the best available beta bound; violations
-    lists any failed assertion (expected empty).
+    lists any failed assertion (expected empty). shortest_cycle is the girth
+    when the caller measured it, as scan_css does.
     """
 
     graph: CayleyGraph
@@ -289,6 +287,7 @@ class BetaReport:
     beta_exact: int | None
     css_margin: Fraction
     violations: tuple[str, ...]
+    shortest_cycle: int | None = None
 
 
 def css_check(
@@ -300,7 +299,11 @@ def css_check(
     beta_upper <= (p-1)/2 <= gamma/2; a triangle-free graph with an exact beta
     must satisfy beta_exact <= gamma/2. Failures are recorded, not raised.
     upper is the pair beta_upper(G) when the caller has already computed it.
+    With exact, a graph past the cap is refused before any work.
     """
+    limit = min(cap, EXACT_CEILING)
+    if exact and G.p > limit:
+        raise CapExceededError(G.p, limit)
     cert = is_triangle_free(G)
     g = gamma(G)
     upper, witness_k = beta_upper(G) if upper is None else upper
@@ -329,31 +332,13 @@ def css_check(
 
 
 @dataclass(frozen=True)
-class ScanRow:
-    """One audited graph inside a scan."""
-
-    p: int
-    A: tuple[int, ...]
-    d: int
-    triangle_free: bool
-    gamma: int
-    beta_upper: int
-    witness_k: int
-    beta_exact: int | None
-    shortest_cycle: int
-    css_margin: Fraction
-    in_critical_window: bool
-    violations: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class CssScanReport:
     """Aggregated audit over all connection sets up to scalar equivalence."""
 
     p_max: int
     d: int
     exact: bool
-    rows: tuple[ScanRow, ...]
+    rows: tuple[BetaReport, ...]
 
     @property
     def instances(self) -> int:
@@ -378,9 +363,9 @@ def scan_css(
     """Audit every size-d connection set on every odd prime p <= p_max.
 
     Sets are enumerated up to scalar equivalence (A and cA are isomorphic via
-    x -> cx). Each row records the bounds, the girth, and whether d falls in
-    the window p/4 < d < p/3. The budget counts subsets, the sum over primes
-    of C(p-1, d). With exact, a prime past the cap is refused before any work.
+    x -> cx). Each row is the css_check report of one class, with its girth.
+    The budget counts subsets, the sum over primes of C(p-1, d). With exact,
+    a prime past the cap is refused before any work.
     """
     primes = [p for p in primes_up_to(p_max) if p > 2]
     total = sum(math.comb(p - 1, d) for p in primes)
@@ -399,20 +384,5 @@ def scan_css(
         for A, upper in zip(classes, _upper_bounds(pm, classes) if classes else ()):
             G = CayleyGraph(pm, A)
             report = css_check(G, exact=exact, cap=cap, upper=upper)
-            rows.append(
-                ScanRow(
-                    p=p,
-                    A=A,
-                    d=d,
-                    triangle_free=report.triangle_free,
-                    gamma=report.gamma,
-                    beta_upper=report.beta_upper,
-                    witness_k=report.witness_k,
-                    beta_exact=report.beta_exact,
-                    shortest_cycle=shortest_cycle(G),
-                    css_margin=report.css_margin,
-                    in_critical_window=4 * d > p and 3 * d < p,
-                    violations=report.violations,
-                )
-            )
+            rows.append(replace(report, shortest_cycle=shortest_cycle(G)))
     return CssScanReport(p_max=p_max, d=d, exact=exact, rows=tuple(rows))

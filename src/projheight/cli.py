@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .cayley import (
     DEFAULT_EXACT_CAP,
+    BetaReport,
     CapExceededError,
     CayleyGraph,
     css_check,
@@ -42,18 +44,27 @@ EXIT_VIOLATION = 4
 
 PAPER_RANGE_PRIMES = (11, 13, 17, 19, 23, 29)
 
-
-class InputError(Exception):
-    pass
+AUDIT_COLUMNS = (
+    "p",
+    "A",
+    "d",
+    "triangle_free",
+    "gamma",
+    "beta_upper",
+    "witness_k",
+    "beta_exact",
+    "shortest_cycle",
+    "css_margin",
+)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
     if not values:
-        raise InputError("expected at least one integer")
+        raise ValueError("expected at least one integer")
     return values
 
 
@@ -71,14 +82,31 @@ def _exact_cap() -> int:
     try:
         cap = int(raw)
     except ValueError:
-        raise InputError(f"PROJHEIGHT_EXACT_CAP must be an integer, got {raw!r}") from None
+        raise ValueError(f"PROJHEIGHT_EXACT_CAP must be an integer, got {raw!r}") from None
     if cap < 1:
-        raise InputError("PROJHEIGHT_EXACT_CAP must be positive")
+        raise ValueError("PROJHEIGHT_EXACT_CAP must be positive")
     return cap
 
 
 def _join(values, sep: str = ":") -> str:
     return sep.join(str(v) for v in values)
+
+
+def _audit_cells(report: BetaReport) -> tuple:
+    """The AUDIT_COLUMNS cells of report."""
+    G = report.graph
+    return (
+        G.p,
+        _join(G.A),
+        G.d,
+        report.triangle_free,
+        report.gamma,
+        report.beta_upper,
+        report.witness_k,
+        report.beta_exact,
+        report.shortest_cycle,
+        str(report.css_margin),
+    )
 
 
 def cmd_height(args: argparse.Namespace) -> OutputRecord:
@@ -106,7 +134,7 @@ def cmd_height(args: argparse.Namespace) -> OutputRecord:
         command="height",
         parameters={"p": args.p, "a": args.a},
         columns=tuple(row),
-        rows=(row,),
+        rows=(tuple(row.values()),),
         summary={"height": record.height, "argmin_k": record.argmin_k},
     )
 
@@ -117,9 +145,9 @@ def cmd_table(args: argparse.Namespace) -> OutputRecord:
         parameters = {"paper_range": True}
     else:
         if args.pmin is None or args.pmax is None:
-            raise InputError("either --paper-range or both --pmin and --pmax are required")
+            raise ValueError("either --paper-range or both --pmin and --pmax are required")
         if args.pmin > args.pmax:
-            raise InputError("--pmin must not exceed --pmax")
+            raise ValueError("--pmin must not exceed --pmax")
         primes = [p for p in primes_up_to(args.pmax) if p >= args.pmin and p > 2]
         parameters = {"pmin": args.pmin, "pmax": args.pmax}
     too_big = next((p for p in primes if (p - 1) ** 2 > DEFAULT_POINT_BUDGET), None)
@@ -131,16 +159,8 @@ def cmd_table(args: argparse.Namespace) -> OutputRecord:
             continue  # a ranges over [2, p-2], empty below 5
         heights_row, argmins = line_height_table(p)
         for a in range(2, p - 1):
-            fast = line_fast_path(a, p)
-            rows.append(
-                {
-                    "p": p,
-                    "a": a,
-                    "height": int(heights_row[a - 1]),
-                    "argmin_k": int(argmins[a - 1]),
-                    "method": "brute" if fast is None else "formula",
-                }
-            )
+            method = "brute" if line_fast_path(a, p) is None else "formula"
+            rows.append((p, a, int(heights_row[a - 1]), int(argmins[a - 1]), method))
     return OutputRecord(
         command="table",
         parameters=parameters,
@@ -152,9 +172,7 @@ def cmd_table(args: argparse.Namespace) -> OutputRecord:
 
 def cmd_spectrum(args: argparse.Namespace) -> OutputRecord:
     sp = spectrum(args.p, args.d, budget=args.budget)
-    rows = tuple(
-        {"p": sp.p, "d": sp.d, "value": v, "count": sp.count_per_value[v]} for v in sp.values
-    )
+    rows = tuple((sp.p, sp.d, v, sp.count_per_value[v]) for v in sp.values)
     summary: dict[str, object] = {
         "max_height": sp.max_height,
         "distinct_values": len(sp.values),
@@ -176,32 +194,19 @@ def cmd_spectrum(args: argparse.Namespace) -> OutputRecord:
 
 def cmd_gaps(args: argparse.Namespace) -> OutputRecord:
     if args.pmin > args.pmax:
-        raise InputError("--pmin must not exceed --pmax")
-    rows = []
-    for p in primes_up_to(args.pmax):
-        if p < args.pmin or p == 2:
-            continue
-        report = gap_scan(p, args.r, args.c)
-        rows.append(
-            {
-                "p": p,
-                "r": report.r,
-                "c": str(report.c),
-                "window_lo": str(report.lower),
-                "window_hi": str(report.upper),
-                "empty": report.empty,
-                "inside": _join(report.inside, ";"),
-            }
-        )
+        raise ValueError("--pmin must not exceed --pmax")
+    reports = [
+        gap_scan(p, args.r, args.c) for p in primes_up_to(args.pmax) if p >= max(args.pmin, 3)
+    ]
     return OutputRecord(
         command="gaps",
         parameters={"pmin": args.pmin, "pmax": args.pmax, "r": args.r, "c": str(args.c)},
         columns=("p", "r", "c", "window_lo", "window_hi", "empty", "inside"),
-        rows=tuple(rows),
-        summary={
-            "primes": len(rows),
-            "windows_all_empty": all(r["empty"] for r in rows) if rows else True,
-        },
+        rows=tuple(
+            (g.p, g.r, str(g.c), str(g.lower), str(g.upper), g.empty, _join(g.inside, ";"))
+            for g in reports
+        ),
+        summary={"primes": len(reports), "windows_all_empty": all(g.empty for g in reports)},
     )
 
 
@@ -209,19 +214,11 @@ def cmd_cayley(args: argparse.Namespace) -> OutputRecord:
     graph = CayleyGraph(args.p, _parse_int_list(args.A))
     report = css_check(graph, exact=args.exact, cap=_exact_cap())
     cert = is_triangle_free(graph)
-    row = {
-        "p": graph.p,
-        "A": _join(graph.A),
-        "d": graph.d,
-        "triangle_free": report.triangle_free,
-        "witness": _join(cert.witness, ";") if cert.witness else "",
-        "gamma": report.gamma,
-        "beta_upper": report.beta_upper,
-        "witness_k": report.witness_k,
-        "beta_exact": report.beta_exact,
-        "shortest_cycle": shortest_cycle(graph) if args.girth else None,
-        "css_margin": str(report.css_margin),
-    }
+    if args.girth:
+        report = replace(report, shortest_cycle=shortest_cycle(graph))
+    # the sum-free witness goes after triangle_free, the fourth audit column
+    cells = _audit_cells(report)
+    row = cells[:4] + (_join(cert.witness, ";") if cert.witness else "",) + cells[4:]
     summary: dict[str, object] = {
         "triangle_free": report.triangle_free,
         "beta_upper": report.beta_upper,
@@ -239,7 +236,7 @@ def cmd_cayley(args: argparse.Namespace) -> OutputRecord:
             "css": args.css,
             "girth": args.girth,
         },
-        columns=tuple(row),
+        columns=AUDIT_COLUMNS[:4] + ("witness",) + AUDIT_COLUMNS[4:],
         rows=(row,),
         summary=summary,
     )
@@ -247,41 +244,15 @@ def cmd_cayley(args: argparse.Namespace) -> OutputRecord:
 
 def cmd_scan(args: argparse.Namespace) -> OutputRecord:
     report = scan_css(args.pmax, args.d, exact=args.exact, cap=_exact_cap(), budget=args.budget)
-    rows = tuple(
-        {
-            "p": r.p,
-            "A": _join(r.A),
-            "d": r.d,
-            "triangle_free": r.triangle_free,
-            "gamma": r.gamma,
-            "beta_upper": r.beta_upper,
-            "witness_k": r.witness_k,
-            "beta_exact": r.beta_exact,
-            "shortest_cycle": r.shortest_cycle,
-            "css_margin": str(r.css_margin),
-            "critical_window": r.in_critical_window,
-            "violations": ";".join(r.violations),
-        }
-        for r in report.rows
-    )
     return OutputRecord(
         command="scan",
         parameters={"pmax": args.pmax, "d": args.d, "exact": args.exact},
-        columns=(
-            "p",
-            "A",
-            "d",
-            "triangle_free",
-            "gamma",
-            "beta_upper",
-            "witness_k",
-            "beta_exact",
-            "shortest_cycle",
-            "css_margin",
-            "critical_window",
-            "violations",
+        columns=AUDIT_COLUMNS + ("critical_window", "violations"),
+        rows=tuple(
+            # the critical window is p/4 < d < p/3
+            _audit_cells(r) + (3 * args.d < r.graph.p < 4 * args.d, ";".join(r.violations))
+            for r in report.rows
         ),
-        rows=rows,
         summary={
             "instances": report.instances,
             "triangle_free": report.triangle_free_count,
@@ -369,9 +340,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         record = args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

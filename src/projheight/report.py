@@ -19,12 +19,15 @@ FORMATS = ("text", "csv", "json")
 
 @dataclass(frozen=True)
 class OutputRecord:
-    """A command result: parameter echo, flat sorted rows, and summary."""
+    """A command result: parameter echo, flat sorted rows, and summary.
+
+    Each row is a tuple of cells in the order of columns.
+    """
 
     command: str
     parameters: dict[str, object]
     columns: tuple[str, ...]
-    rows: tuple[dict[str, object], ...]
+    rows: tuple[tuple[object, ...], ...]
     summary: dict[str, object]
     schema_version: str = SCHEMA_VERSION
 
@@ -44,7 +47,7 @@ def render_csv(record: OutputRecord) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(record.columns)
     for row in record.rows:
-        writer.writerow([cell(row.get(col)) for col in record.columns])
+        writer.writerow([cell(value) for value in row])
     return buf.getvalue()
 
 
@@ -54,7 +57,7 @@ def render_json(record: OutputRecord) -> str:
         "command": record.command,
         "parameters": record.parameters,
         "columns": list(record.columns),
-        "rows": [{col: row.get(col) for col in record.columns} for row in record.rows],
+        "rows": [dict(zip(record.columns, row)) for row in record.rows],
         "summary": record.summary,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -68,7 +71,7 @@ def render_text(record: OutputRecord) -> str:
         lines.append("")
         table = [list(record.columns)]
         for row in record.rows:
-            table.append([cell(row.get(col)) for col in record.columns])
+            table.append([cell(value) for value in row])
         widths = [max(len(r[i]) for r in table) for i in range(len(record.columns))]
         for r in table:
             lines.append("  ".join(text.ljust(w) for text, w in zip(r, widths)).rstrip())

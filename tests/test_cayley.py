@@ -140,6 +140,15 @@ class TestGamma:
             G = CayleyGraph(p, A)
             assert gamma(G) == gamma_direct(G), (p, A)
 
+    def test_digon_sets_need_no_edge_list(self, monkeypatch):
+        def no_edges(G):
+            raise AssertionError("gamma built the edge list")
+
+        monkeypatch.setattr("projheight.cayley.edges", no_edges)
+        # A u -A = {1, p-1}, so every vertex has two neighbours
+        for p in (7, 1000003):
+            assert gamma(CayleyGraph(p, [1, p - 1])) == p * (p - 3) // 2
+
 
 class TestIsAcyclic:
     def test_examples(self):
@@ -359,16 +368,14 @@ class TestScanCss:
         assert rep.instances == 6
         assert rep.triangle_free_count == 1
         assert rep.violation_count == 0
-        assert [r.p for r in rep.rows] == sorted(r.p for r in rep.rows)
-        windows = [r.p for r in rep.rows if r.in_critical_window]
-        assert windows == [7, 7, 7]
+        assert [r.graph.p for r in rep.rows] == sorted(r.graph.p for r in rep.rows)
 
     def test_rows_consistent(self):
         rep = scan_css(11, 2, exact=True)
         assert rep.instances == 11
         assert rep.violation_count == 0
         for row in rep.rows:
-            G = CayleyGraph(row.p, row.A)
+            G = row.graph
             assert row.triangle_free == (row.shortest_cycle > 3)
             assert (row.beta_upper, row.witness_k) == beta_upper(G)
             assert row.gamma == gamma(G)
@@ -379,8 +386,8 @@ class TestScanCss:
         # d = 1 leaves empty tails; d = p - 1 ties every multiplier
         for d in (1, 3, 4, 6, 12):
             for row in scan_css(13, d).rows:
-                assert (row.beta_upper, row.witness_k) == beta_upper(CayleyGraph(row.p, row.A))
-                assert (row.beta_upper, row.witness_k) == brute_upper(row.A, row.p)
+                assert (row.beta_upper, row.witness_k) == beta_upper(row.graph)
+                assert (row.beta_upper, row.witness_k) == brute_upper(row.graph.A, row.graph.p)
 
     def test_empty_range(self):
         rep = scan_css(2, 2)

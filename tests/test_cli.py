@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from projheight.cayley import CssScanReport, ScanRow
+from projheight.cayley import BetaReport, CapExceededError, CayleyGraph, CssScanReport, css_check
 from projheight.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
 from projheight.report import cell
 
@@ -195,16 +195,24 @@ class TestScanCommand:
         assert code2 == EXIT_OK
         assert target.read_text(encoding="utf-8") == direct
 
+    def test_critical_window(self, capsys):
+        code, out, _ = run(["scan", "--pmax", "7", "-d", "2", "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        header, rows = parse_csv(out)
+        rows = [dict(zip(header, row)) for row in rows]
+        # p/4 < 2 < p/3 holds for p = 7 alone
+        assert [row["p"] for row in rows if row["critical_window"] == "true"] == ["7"] * 3
+        assert all(row["critical_window"] == "false" for row in rows if row["p"] != "7")
+
     def test_budget_exit(self, capsys):
         code, _, err = run(["scan", "--pmax", "23", "-d", "3", "--budget", "10"], capsys)
         assert code == EXIT_LIMIT and "error:" in err
 
     def test_violation_exit_code(self, capsys, monkeypatch):
-        row = ScanRow(
-            p=7, A=(1, 2), d=2, triangle_free=True, gamma=7, beta_upper=4,
-            witness_k=1, beta_exact=None, shortest_cycle=4,
-            css_margin=Fraction(-1, 2), in_critical_window=True,
-            violations=("beta_upper > (p-1)/2",),
+        row = BetaReport(
+            graph=CayleyGraph(7, (1, 2)), triangle_free=True, gamma=7, beta_upper=4,
+            witness_k=1, beta_exact=None, css_margin=Fraction(-1, 2),
+            violations=("beta_upper > (p-1)/2",), shortest_cycle=4,
         )
         fake = CssScanReport(p_max=7, d=2, exact=False, rows=(row,))
         monkeypatch.setattr("projheight.cli.scan_css", lambda *a, **k: fake)
@@ -235,6 +243,18 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+    def test_exact_cap_checked_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the cap check")
+
+        monkeypatch.setattr("projheight.cayley.edges", no_work)
+        monkeypatch.setattr("projheight.cayley.beta_upper", no_work)
+        with pytest.raises(CapExceededError):
+            css_check(CayleyGraph(29, (1, 2)), exact=True)
+        code, out, err = run(["cayley", "-p", "1000003", "-A", "1,2", "--exact"], capsys)
+        assert code == EXIT_LIMIT and out == ""
+        assert err == "error: graph has 1000003 vertices, exact cap is 24\n"
 
     def test_exact_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PROJHEIGHT_EXACT_CAP", "10")
