@@ -3,12 +3,14 @@
 A connection set A of d distinct nonzero residues defines the digraph with an
 edge x -> x+a for every vertex x and every a in A. Multiplication orderings of
 the vertices yield small feedback arc sets whose minimum size equals the
-height of <a_1, ..., a_d>; an exact subset DP settles small instances, and a
-scan driver audits the inequality beta <= gamma/2 on triangle-free graphs.
+height of <a_1, ..., a_d>; a rotation-averaged cycle packing, or failing that
+an exact subset DP, settles small instances, and scan_css audits the
+inequality beta <= gamma/2 on triangle-free graphs.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -93,13 +95,6 @@ def gamma(G: CayleyGraph) -> int:
     return p * (p - 1 - len(set(G.A) | {p - a for a in G.A})) // 2
 
 
-def gamma_direct(G: CayleyGraph) -> int:
-    """gamma by direct pair counting; the reference for the closed form."""
-    p = G.p
-    adjacent = {(min(u, v), max(u, v)) for u, v in edges(G) if u != v}
-    return p * (p - 1) // 2 - len(adjacent)
-
-
 def is_acyclic(edge_list: Iterable[Edge]) -> bool:
     """True iff the digraph on the labels appearing in edge_list has no cycle.
 
@@ -172,16 +167,160 @@ def beta_upper(G: CayleyGraph) -> tuple[int, int]:
 
 
 def _upper_bounds(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """beta_upper of each connection set in sets, all of one size, in one kernel call."""
+    """beta_upper of each connection set in sets, all of one size, in one kernel call.
+
+    A digon {a, p-a} in A adds exactly p at every multiplier, so it is dropped
+    first: h(A) = p*#digons + h(rest), with the rest's witness, or 1 when the
+    rest is empty. The dropped places in the tails are left as zeros.
+    """
     p = pm.p
     A = np.array(sets, dtype=np.int64)
-    lead = A[:, 0].tolist()
-    tails = A[:, 1:] * np.array([pow(a, -1, p) for a in lead])[:, None] % p
-    heights, _ = heights_of(tails, p)
-    witness = [p] * len(lead)
-    for row, v in minimizers_of(tails, p, heights).tolist():
-        witness[row] = min(witness[row], lead[row] * pow(v, -1, p) % p)
+    paired = ((A[:, :, None] + A[:, None, :]) == p).any(axis=2) & (2 * A != p)
+    # each rest in order, then a zero for every dropped element
+    order = np.argsort(paired, axis=1, kind="stable")
+    rest = np.take_along_axis(np.where(paired, 0, A), order, axis=1)
+    heights = p * paired.sum(axis=1) // 2
+    witness = [p if a else 1 for a in rest[:, 0].tolist()]
+    live = np.flatnonzero(rest[:, 0])
+    if live.size:
+        lead = rest[live, 0].tolist()
+        tails = rest[live, 1:] * np.array([pow(a, -1, p) for a in lead])[:, None] % p
+        rest_heights, _ = heights_of(tails, p)
+        heights[live] += rest_heights
+        for row, v in minimizers_of(tails, p, rest_heights).tolist():
+            n = live[row]
+            witness[n] = min(witness[n], lead[row] * pow(v, -1, p) % p)
     return list(zip(heights.tolist(), witness))
+
+
+@dataclass(frozen=True)
+class CyclePacking:
+    """Weights y_c on zero-sum step vectors c: a rotation-averaged cycle packing.
+
+    A vector c counts the steps of a closed walk through 0, c_i steps along
+    a_i with sum_i c_i*a_i = 0 mod p. Its p rotations load every arc of orbit i
+    exactly c_i times, and every feedback arc set meets each rotated walk;
+    packing_settles turns this into beta >= ceil(p * sum_c y_c).
+    """
+
+    vectors: tuple[tuple[int, ...], ...]
+    weights: tuple[Fraction, ...]
+
+
+def packing_settles(G: CayleyGraph, packing: CyclePacking, target: int) -> bool:
+    """True iff packing proves beta(G) >= target, checked in exact arithmetic.
+
+    Every vector must be a nonzero, nonnegative, zero-sum step count with a
+    positive weight; the load sum_c y_c*c_i on every orbit i must be at most 1;
+    and p * sum_c y_c must exceed target - 1. A feedback arc set F meets every
+    rotated walk, so summing over walks and rotations gives
+    p * sum_c y_c <= sum_i load_i * |F_i| <= |F|, and beta >= target.
+    """
+    p, d = G.p, G.d
+    if len(packing.vectors) != len(packing.weights):
+        return False
+    load = [Fraction(0)] * d
+    for c, y in zip(packing.vectors, packing.weights):
+        if len(c) != d or y <= 0 or min(c) < 0 or not any(c):
+            return False
+        if sum(ci * a for ci, a in zip(c, G.A)) % p:
+            return False
+        for i, ci in enumerate(c):
+            load[i] += y * ci
+    return max(load) <= 1 and p * sum(packing.weights) > target - 1
+
+
+def cycle_packing(G: CayleyGraph, target: int) -> CyclePacking | None:
+    """A cycle packing worth more than target - 1, or None if the LP stops short.
+
+    Column generation on max sum_c y_c subject to sum_c y_c*c <= 1, y >= 0,
+    starting from the vectors p*e_i. Each restricted LP is solved by an exact
+    simplex in Fractions with Bland's rule (d rows); its duals x price a new
+    column, the cheapest closed walk through 0 under arc weights x. The search
+    stops with a packing as soon as p * sum y > target - 1, and with None once
+    no walk weighs less than 1, when the LP optimum is reached.
+    """
+    p, d = G.p, G.d
+    # rows[r]: coefficients of the d slacks, then of each vector, then the
+    # right-hand side; the slack coefficients hold the basis inverse. cost[j]
+    # is the reduced cost of variable j, and the duals are x_k = -cost[k].
+    rows = [[Fraction(int(r == k)) for k in range(d)] + [Fraction(1)] for r in range(d)]
+    cost = [Fraction(0)] * d
+    basis = list(range(d))
+    vectors: list[tuple[int, ...]] = []
+
+    def add(c: tuple[int, ...]) -> None:
+        for row in rows:
+            row.insert(-1, sum((ci * row[k] for k, ci in enumerate(c)), Fraction(0)))
+        cost.append(1 + sum(ci * cost[k] for k, ci in enumerate(c)))
+        vectors.append(c)
+
+    def value() -> Fraction:
+        return sum((rows[r][-1] for r in range(d) if basis[r] >= d), Fraction(0))
+
+    def solve() -> None:
+        while p * value() <= target - 1:
+            j = next((j for j, rc in enumerate(cost) if rc > 0), None)
+            if j is None:
+                return
+            # Bland: the least ratio, ties to the least basic variable
+            _, _, r = min(
+                (row[-1] / row[j], basis[r], r) for r, row in enumerate(rows) if row[j] > 0
+            )
+            pivot = rows[r][j]
+            rows[r] = [v / pivot for v in rows[r]]
+            for i, row in enumerate(rows):
+                if i != r and row[j]:
+                    rows[i] = [u - row[j] * v for u, v in zip(row, rows[r])]
+            cost[:] = [u - cost[j] * v for u, v in zip(cost, rows[r])]
+            basis[r] = j
+
+    for i in range(d):
+        add(tuple(p if k == i else 0 for k in range(d)))
+    while True:
+        solve()
+        if p * value() > target - 1:
+            held = [(vectors[b - d], row[-1]) for b, row in zip(basis, rows) if b >= d and row[-1]]
+            return CyclePacking(tuple(c for c, _ in held), tuple(y for _, y in held))
+        weight, c = _cheapest_closed_walk(G, [-x for x in cost[:d]])
+        if weight >= 1:
+            return None
+        add(c)
+
+
+def _cheapest_closed_walk(
+    G: CayleyGraph, x: Sequence[Fraction]
+) -> tuple[Fraction, tuple[int, ...]]:
+    """The least weight of a nonempty closed walk through 0, with its step counts.
+
+    Step a_i weighs x_i > 0; Dijkstra from 0, closing through each a_i.
+    """
+    p, A = G.p, G.A
+    dist = {0: Fraction(0)}
+    step: dict[int, tuple[int, int]] = {}
+    heap = [(Fraction(0), 0)]
+    best: tuple[Fraction, int, int] | None = None
+    while heap:
+        w, v = heapq.heappop(heap)
+        if best is not None and w >= best[0]:
+            break
+        if w > dist[v]:
+            continue
+        for i, a in enumerate(A):
+            u, nw = (v + a) % p, w + x[i]
+            if u == 0:
+                if best is None or nw < best[0]:
+                    best = (nw, v, i)
+            elif u not in dist or nw < dist[u]:
+                dist[u], step[u] = nw, (v, i)
+                heapq.heappush(heap, (nw, u))
+    weight, v, i = best
+    counts = [0] * G.d
+    counts[i] += 1
+    while v:
+        v, i = step[v]
+        counts[i] += 1
+    return weight, tuple(counts)
 
 
 def _popcount16_table() -> np.ndarray:
@@ -274,13 +413,14 @@ def shortest_cycle(G: CayleyGraph) -> int:
 class BetaReport:
     """Feedback arc set bounds and CSS assertion outcomes for one graph.
 
+    triangle_certificate is the 3-sum-free check of A, with its witness;
     css_margin is gamma/2 minus the best available beta bound; violations
     lists any failed assertion (expected empty). shortest_cycle is the girth
     when the caller measured it, as scan_css does.
     """
 
     graph: CayleyGraph
-    triangle_free: bool
+    triangle_certificate: SumFreeCertificate
     gamma: int
     beta_upper: int
     witness_k: int
@@ -288,6 +428,10 @@ class BetaReport:
     css_margin: Fraction
     violations: tuple[str, ...]
     shortest_cycle: int | None = None
+
+    @property
+    def triangle_free(self) -> bool:
+        return self.triangle_certificate.ok
 
 
 def css_check(
@@ -299,7 +443,11 @@ def css_check(
     beta_upper <= (p-1)/2 <= gamma/2; a triangle-free graph with an exact beta
     must satisfy beta_exact <= gamma/2. Failures are recorded, not raised.
     upper is the pair beta_upper(G) when the caller has already computed it.
-    With exact, a graph past the cap is refused before any work.
+
+    With exact, a graph past the cap is refused before any work. Then
+    beta_exact = beta_upper when cycle_packing finds a packing that
+    packing_settles accepts: beta_upper >= beta >= ceil(p * sum y) >=
+    beta_upper. Only when the packing leaves a gap does the subset DP run.
     """
     limit = min(cap, EXACT_CEILING)
     if exact and G.p > limit:
@@ -307,7 +455,11 @@ def css_check(
     cert = is_triangle_free(G)
     g = gamma(G)
     upper, witness_k = beta_upper(G) if upper is None else upper
-    exact_beta = beta_exact(edges(G), cap=cap) if exact else None
+    exact_beta = None
+    if exact:
+        packing = cycle_packing(G, upper)
+        settled = packing is not None and packing_settles(G, packing, upper)
+        exact_beta = upper if settled else beta_exact(edges(G), cap=cap)
     bounds = [upper] if exact_beta is None else [upper, exact_beta]
     margin = Fraction(g, 2) - min(bounds)
     violations: list[str] = []
@@ -321,7 +473,7 @@ def css_check(
             violations.append("beta_exact > gamma/2")
     return BetaReport(
         graph=G,
-        triangle_free=cert.ok,
+        triangle_certificate=cert,
         gamma=g,
         beta_upper=upper,
         witness_k=witness_k,

@@ -275,13 +275,6 @@ def spectrum(p: int | PrimeModulus, d: int, budget: int = DEFAULT_POINT_BUDGET) 
     )
 
 
-def spectrum_bounds_check(
-    p: int | PrimeModulus, d: int, budget: int = DEFAULT_POINT_BUDGET
-) -> SpectrumBoundsReport:
-    """Exhaustively check the closed-form window for the maximum height."""
-    return spectrum(p, d, budget).bounds_check()
-
-
 @dataclass(frozen=True)
 class GapScanReport:
     """Whether the open window (p/(r+1) + c, p/r - c) misses every line height."""

@@ -71,11 +71,6 @@ def as_modulus(p: int | PrimeModulus) -> PrimeModulus:
     return p if isinstance(p, PrimeModulus) else PrimeModulus(p)
 
 
-def mod_reduce(x: int, p: int | PrimeModulus) -> int:
-    """Least nonnegative residue of x modulo p; correct for negative x."""
-    return x % as_modulus(p).p
-
-
 def mod_inverse(a: int, p: int | PrimeModulus) -> int:
     """The inverse of a modulo p, in [1, p-1]."""
     pv = as_modulus(p).p

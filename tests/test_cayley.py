@@ -1,10 +1,12 @@
 """Tests for Cayley digraphs, feedback arc sets, and the CSS audit."""
 
 import itertools
+import json
 import math
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,20 +15,25 @@ from projheight.cayley import (
     BetaReport,
     CapExceededError,
     CayleyGraph,
+    CyclePacking,
     beta_exact,
     beta_upper,
     css_check,
+    cycle_packing,
     deletion_set,
     edges,
     gamma,
-    gamma_direct,
     is_acyclic,
     is_triangle_free,
+    packing_settles,
     scan_css,
     shortest_cycle,
 )
+from projheight.cli import EXIT_OK, main
 from projheight.heights import BudgetExceededError, height
 from projheight.modular import canonical_connection_sets, canonicalize, mod_inverse
+
+ROOT = Path(__file__).resolve().parent.parent
 
 SMALL = [
     (p, A)
@@ -35,6 +42,13 @@ SMALL = [
     if d < p
     for A in canonical_connection_sets(p, d)
 ]
+
+
+def gamma_direct(G):
+    """gamma by direct pair counting; the reference for the closed form."""
+    p = G.p
+    adjacent = {(min(u, v), max(u, v)) for u, v in edges(G) if u != v}
+    return p * (p - 1) // 2 - len(adjacent)
 
 
 def perm_beta(edge_list):
@@ -235,6 +249,26 @@ class TestBetaUpper:
             A = tuple(sorted(rng.sample(range(1, 1009), rng.randint(2, 5))))
             assert beta_upper(CayleyGraph(1009, A)) == brute_upper(A, 1009), A
 
+    def test_digon_sets_match_brute(self):
+        checked = 0
+        for p in (3, 5, 7, 11, 13, 17):
+            for d in range(2, min(5, p - 1) + 1):
+                for A in itertools.combinations(range(1, p), d):
+                    if any(p - a in A for a in A):
+                        assert beta_upper(CayleyGraph(p, A)) == brute_upper(A, p), (p, A)
+                        checked += 1
+        assert checked == 4756
+
+    def test_digon_pairs_need_no_kernel(self, monkeypatch):
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("the height kernel ran on a set of digons")
+
+        monkeypatch.setattr("projheight.cayley.minimizers_of", no_kernel)
+        monkeypatch.setattr("projheight.cayley.heights_of", no_kernel)
+        for p in (5, 1000003):
+            assert beta_upper(CayleyGraph(p, [1, p - 1])) == (p, 1)
+            assert beta_upper(CayleyGraph(p, [1, 2, p - 2, p - 1])) == (2 * p, 1)
+
 
 class TestBetaExact:
     def test_base_cases(self):
@@ -295,6 +329,111 @@ class TestBetaExact:
         with pytest.raises(CapExceededError):
             beta_exact(path, cap=100)
         assert beta_exact(path[:10], cap=11) == 0
+
+
+# classes with p <= 19 and d <= 3, or p <= 13 and d = 4
+PACKING_CLASSES = [
+    (p, A)
+    for p in (3, 5, 7, 11, 13, 17, 19)
+    for d in (1, 2, 3, 4)
+    if d < p and (d < 4 or p <= 13)
+    for A in canonical_connection_sets(p, d)
+]
+
+# where the averaged LP optimum stays at or below beta_upper - 1
+PACKING_GAPS = {
+    (11, (1, 2, 5, 7)),
+    (13, (1, 3, 4, 11)),
+    (13, (1, 4, 5, 11)),
+    (17, (1, 4, 10)),
+    (17, (1, 8, 10)),
+    (19, (1, 6, 8)),
+    (19, (1, 6, 14)),
+    (19, (1, 8, 17)),
+}
+
+
+class TestCyclePacking:
+    def test_settled_classes_agree_with_dp(self):
+        gaps = set()
+        for p, A in PACKING_CLASSES:
+            G = CayleyGraph(p, A)
+            upper = beta_upper(G)[0]
+            packing = cycle_packing(G, upper)
+            if packing is None:
+                gaps.add((p, A))
+                continue
+            assert packing_settles(G, packing, upper), (p, A)
+            assert beta_exact(edges(G)) == upper, (p, A)
+        assert gaps == PACKING_GAPS
+
+    def test_gaps_fall_back_to_dp(self):
+        # beta = h with a loose LP, and beta < h
+        assert css_check(CayleyGraph(17, (1, 4, 10)), exact=True).beta_exact == 13
+        assert css_check(CayleyGraph(17, (1, 8, 10)), exact=True).beta_exact == 13
+
+    def test_settled_classes_agree_with_frozen_values(self):
+        frozen = json.loads((ROOT / "bench" / "frozen_beta.json").read_text(encoding="utf-8"))
+        settled = 0
+        for by_p in frozen.values():
+            for p, by_set in by_p.items():
+                for key, beta in by_set.items():
+                    G = CayleyGraph(int(p), [int(a) for a in key.split(":")])
+                    upper = beta_upper(G)[0]
+                    assert beta <= upper, (p, key)
+                    packing = cycle_packing(G, upper)
+                    if packing is not None:
+                        assert packing_settles(G, packing, upper), (p, key)
+                        assert beta == upper, (p, key)
+                        settled += 1
+        assert settled == 157
+
+    @pytest.mark.parametrize(
+        "p,A", [(23, (3, 5)), (13, (1, 5)), (17, (1, 2, 8)), (11, (1, 3, 4, 5))]
+    )
+    def test_checker_rejects_mutations(self, p, A):
+        G = CayleyGraph(p, A)
+        upper = beta_upper(G)[0]
+        packing = cycle_packing(G, upper)
+        assert packing_settles(G, packing, upper)
+        vectors, weights = packing.vectors, packing.weights
+        # one vector one step short of closing: its loads only fall
+        c = vectors[0]
+        i = next(i for i, ci in enumerate(c) if ci)
+        short = tuple(ci - (k == i) for k, ci in enumerate(c))
+        assert not packing_settles(G, replace(packing, vectors=(short,) + vectors[1:]), upper)
+        # one weight raised until an orbit carries more than 1
+        load = sum(y * v[i] for v, y in zip(vectors, weights))
+        raised = weights[0] + (1 - load) / c[i] + Fraction(1, 10**9)
+        assert not packing_settles(G, replace(packing, weights=(raised,) + weights[1:]), upper)
+        # a zero weight, or a zero vector
+        unweighted = (Fraction(0),) + weights[1:]
+        assert not packing_settles(G, replace(packing, weights=unweighted), upper)
+        zero = (0,) * G.d
+        assert not packing_settles(G, replace(packing, vectors=(zero,) + vectors[1:]), upper)
+        # the packing never proves more than beta_upper
+        assert not packing_settles(G, packing, upper + 1)
+
+    def test_unchecked_packing_is_not_used(self, monkeypatch):
+        # (17, {1, 8, 10}) has beta 13 < beta_upper 14; a packing claiming 14
+        # with a walk that does not close must send css_check to the DP
+        G = CayleyGraph(17, (1, 8, 10))
+        bogus = CyclePacking(vectors=((1, 0, 0),), weights=(Fraction(1),))
+        monkeypatch.setattr("projheight.cayley.cycle_packing", lambda G, target: bogus)
+        assert not packing_settles(G, bogus, 14)
+        assert css_check(G, exact=True).beta_exact == 13
+
+    def test_cayley_command_needs_no_dp(self, capsys, monkeypatch):
+        def no_dp(*args, **kwargs):
+            raise AssertionError("the subset DP ran on a settled graph")
+
+        monkeypatch.setattr("projheight.cayley.beta_exact", no_dp)
+        for fmt in ("text", "csv", "json"):
+            code = main(["cayley", "-p", "23", "-A", "3,5", "--exact", "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == EXIT_OK and captured.err == ""
+            golden = ROOT / "tests" / "golden" / f"cayley_p23.{fmt}"
+            assert captured.out == golden.read_text(encoding="utf-8")
 
 
 class TestShortestCycle:

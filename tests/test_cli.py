@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from projheight.cayley import BetaReport, CapExceededError, CayleyGraph, CssScanReport, css_check
+from projheight import cayley
+from projheight.cayley import (
+    BetaReport,
+    CapExceededError,
+    CayleyGraph,
+    CssScanReport,
+    css_check,
+    is_triangle_free,
+)
 from projheight.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
 from projheight.report import cell
 
@@ -174,6 +182,19 @@ class TestCayleyCommand:
         assert row["triangle_free"] == "false"
         assert row["witness"] == "1;6"
 
+    def test_sum_free_checked_once(self, capsys, monkeypatch):
+        real = cayley.is_k_sum_free
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("projheight.cayley.is_k_sum_free", counting)
+        code, _, _ = run(["cayley", "-p", "11", "-A", "1,7"], capsys)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
 
 class TestScanCommand:
     def test_scan_summary(self, capsys):
@@ -210,7 +231,8 @@ class TestScanCommand:
 
     def test_violation_exit_code(self, capsys, monkeypatch):
         row = BetaReport(
-            graph=CayleyGraph(7, (1, 2)), triangle_free=True, gamma=7, beta_upper=4,
+            graph=CayleyGraph(7, (1, 2)),
+            triangle_certificate=is_triangle_free(CayleyGraph(7, (1, 2))), gamma=7, beta_upper=4,
             witness_k=1, beta_exact=None, css_margin=Fraction(-1, 2),
             violations=("beta_upper > (p-1)/2",), shortest_cycle=4,
         )

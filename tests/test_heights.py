@@ -20,7 +20,6 @@ from projheight.heights import (
     line_height_table,
     max_height_k_free,
     spectrum,
-    spectrum_bounds_check,
 )
 from projheight.modular import canonicalize, primes_up_to
 
@@ -274,11 +273,11 @@ def test_spectrum_budget():
 
 
 def test_spectrum_bounds_check():
-    rep = spectrum_bounds_check(7, 2)
+    rep = spectrum(7, 2).bounds_check()
     assert (rep.max_height, rep.lower, rep.upper, rep.ok) == (7, 7, 7, True)
-    rep = spectrum_bounds_check(5, 4)
+    rep = spectrum(5, 4).bounds_check()
     assert (rep.max_height, rep.ok) == (10, True)
-    rep = spectrum_bounds_check(7, 3)
+    rep = spectrum(7, 3).bounds_check()
     assert (rep.lower, rep.upper) == (8, 10)
     assert rep.max_height == 8 and rep.ok
 

@@ -1,4 +1,5 @@
-"""Modules of the package import no private name from one another."""
+"""Modules of the package import no private name from one another, and every
+name the package exports is defined in its own sources."""
 
 import ast
 from pathlib import Path
@@ -22,3 +23,17 @@ def test_no_private_names_across_modules():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_every_export_is_defined_in_the_package():
+    defined = set()
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)
+    dangling = [n for n in projheight.__all__ if not hasattr(projheight, n) or n not in defined]
+    assert dangling == []

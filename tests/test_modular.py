@@ -18,7 +18,6 @@ from projheight.modular import (
     d_star,
     is_prime,
     mod_inverse,
-    mod_reduce,
     primes_up_to,
 )
 
@@ -52,19 +51,6 @@ def test_prime_modulus_validation():
         PrimeModulus(MAX_MODULUS + 2)
     with pytest.raises(TypeError):
         PrimeModulus(7.0)
-
-
-def test_mod_reduce_examples():
-    assert mod_reduce(25, 11) == 3
-    assert mod_reduce(-1, 7) == 6
-    assert mod_reduce(0, 5) == 0
-
-
-@given(st.integers(-(10**12), 10**12), st.sampled_from(SMALL_PRIMES))
-def test_mod_reduce_is_a_residue(x, p):
-    r = mod_reduce(x, p)
-    assert 0 <= r < p
-    assert (x - r) % p == 0
 
 
 def test_mod_inverse_examples():
