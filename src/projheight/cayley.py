@@ -32,7 +32,6 @@ from .modular import (
     PrimeModulus,
     as_modulus,
     canonical_connection_sets,
-    canonicalize,
     connection_set_residues,
     mod_inverse,
     primes_up_to,
@@ -392,21 +391,38 @@ def beta_exact(edge_list: Iterable[Edge], cap: int = DEFAULT_EXACT_CAP) -> int:
 def shortest_cycle(G: CayleyGraph) -> int:
     """Length of the shortest directed cycle.
 
-    Vertex-transitivity makes one source enough: breadth-first search from 0,
+    At d = 2 a cycle takes c_1 steps along a_1 and c_2 along a_2 with
+    c_1 = c_2*(p - b) mod p, b = a_2/a_1, so the girth is min(p, h(<1, p - b>)),
+    which is h(<1, p - b>) <= 1 + p - b, from the sail in O(log p). Otherwise
+    vertex-transitivity makes one source enough: breadth-first search from 0,
     then close a cycle through each -a.
     """
-    p = G.p
-    dist = [-1] * p
-    dist[0] = 0
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for a in G.A:
-            y = (x + a) % p
-            if dist[y] < 0:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return 1 + min(dist[(p - a) % p] for a in G.A)
+    return _shortest_cycles(G.modulus, [G.A])[0]
+
+
+def _shortest_cycles(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[int]:
+    """shortest_cycle of each connection set in sets, all of one size.
+
+    At d = 2 all of them take one kernel call; other sizes run one BFS each.
+    """
+    p = pm.p
+    if sets and len(sets[0]) == 2:
+        tails = [[p - b * pow(a, -1, p) % p] for a, b in sets]
+        return heights_of(np.array(tails, dtype=np.int64), p)[0].tolist()
+    girths = []
+    for A in sets:
+        dist = [-1] * p
+        dist[0] = 0
+        queue = deque([0])
+        while queue:
+            x = queue.popleft()
+            for a in A:
+                y = (x + a) % p
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        girths.append(1 + min(dist[(p - a) % p] for a in A))
+    return girths
 
 
 @dataclass(frozen=True)
@@ -533,8 +549,8 @@ def scan_css(
     for p in primes:
         pm = PrimeModulus(p)
         classes = list(canonical_connection_sets(pm, d))
-        for A, upper in zip(classes, _upper_bounds(pm, classes) if classes else ()):
-            G = CayleyGraph(pm, A)
-            report = css_check(G, exact=exact, cap=cap, upper=upper)
-            rows.append(replace(report, shortest_cycle=shortest_cycle(G)))
+        uppers = _upper_bounds(pm, classes) if classes else ()
+        for A, upper, girth in zip(classes, uppers, _shortest_cycles(pm, classes)):
+            report = css_check(CayleyGraph(pm, A), exact=exact, cap=cap, upper=upper)
+            rows.append(replace(report, shortest_cycle=girth))
     return CssScanReport(p_max=p_max, d=d, exact=exact, rows=tuple(rows))

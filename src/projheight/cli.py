@@ -11,6 +11,7 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import repeat
 
 from .cayley import (
     DEFAULT_EXACT_CAP,
@@ -156,10 +157,11 @@ def cmd_table(args: argparse.Namespace) -> OutputRecord:
     for p in primes:
         if p < 5:
             continue  # a ranges over [2, p-2], empty below 5
-        heights_row, argmins = line_height_table(p)
-        for a in range(2, p - 1):
-            method = "brute" if line_fast_path(a, p) is None else "formula"
-            rows.append((p, a, int(heights_row[a - 1]), int(argmins[a - 1]), method))
+        # the arrays are indexed by a - 1
+        heights_row, argmins = (col[1 : p - 2].tolist() for col in line_height_table(p))
+        a_range = range(2, p - 1)
+        methods = ["brute" if line_fast_path(a, p) is None else "formula" for a in a_range]
+        rows += zip(repeat(p), a_range, heights_row, argmins, methods)
     return OutputRecord(
         command="table",
         parameters=parameters,

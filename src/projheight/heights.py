@@ -55,7 +55,7 @@ class HeightRecord:
     """An exact height together with the smallest multiplier attaining it.
 
     method is "formula" when a closed-form special case produced the value and
-    "brute" when the full multiplier scan did; rule names the fired case.
+    "brute" when heights_of did; rule names the fired case.
     """
 
     point: ProjectivePoint
@@ -81,6 +81,52 @@ def _residue_sums(tails: np.ndarray, ks: np.ndarray, p: int) -> np.ndarray:
 
 def heights_of(tails: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Heights and smallest argmin multipliers of the points <1, t>, one row t of int64 tails each.
+
+    A row with at most one nonzero is a line point <1, a>, and the Klein sail
+    gives it in O(log p) (_sail_heights); every other row goes through the
+    blocked scan (_blocked_heights). Both keep the least k on ties.
+    """
+    heights = np.empty(len(tails), dtype=np.int64)
+    argmins = np.empty(len(tails), dtype=np.int64)
+    line = np.count_nonzero(tails, axis=1) <= 1
+    heights[line], argmins[line] = _sail_heights(tails[line].sum(axis=1), p)
+    if not line.all():
+        heights[~line], argmins[~line] = _blocked_heights(tails[~line], p)
+    return heights, argmins
+
+
+def _sail_heights(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Heights and smallest argmins of the line points <1, a>, walking the Klein sail.
+
+    The least minimizer k of k + (k*a mod p) is a record low of k*a mod p, and
+    the record lows are the lattice points U + jW, j = 1..t, of successive
+    phases: from U = (0, p) and the step W = (1, -(p - a)), take
+    t = (y_U - 1) // |y_W| steps, so that y stays positive, then U += tW and
+    W += sU with s = |y_W| // y_U, until W is horizontal. x + y is linear in j,
+    so only j = 1 and j = t are tested, in increasing k, and only a strictly
+    smaller sum replaces the best. There are O(log p) phases. A finished row
+    takes t = 0 and stays fixed; a = 0 finishes in one phase, at (1, 0).
+    """
+    xu, yu = np.zeros_like(a), np.full_like(a, p)
+    xw, yw = np.ones_like(a), p - a  # W = (xw, -yw)
+    best, best_k = np.full_like(a, 2 * p), np.ones_like(a)
+    while (live := yw > 0).any():
+        t = np.floor_divide(yu - 1, yw, out=np.zeros_like(a), where=live)
+        for j in (1, t):
+            x = xu + j * xw
+            total = x + yu - j * yw
+            better = total < best
+            best[better], best_k[better] = total[better], x[better]
+        xu += t * xw
+        yu -= t * yw
+        s = yw // yu
+        xw += s * xu
+        yw -= s * yu
+    return best, best_k
+
+
+def _blocked_heights(tails: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """heights_of by scanning multipliers, for rows of any number of nonzeros.
 
     Sums are formed in blocks of at most _BLOCK_CELLS (point, k) cells; k-blocks
     start at 1024 and double. The k-th sum of <1, t> is at least k + (nonzeros
@@ -158,7 +204,7 @@ def line_fast_path(a: int, p: int) -> tuple[int, int, str] | None:
 def line_height_fast(a: int, p: int | PrimeModulus) -> HeightRecord:
     """Height of the line point <1, a>, via an exact special case when one applies.
 
-    Falls back to the brute-force scan otherwise; the result always equals
+    Falls back to height(), the Klein sail, otherwise; the result always equals
     height(<1, a>).
     """
     pm = _odd_modulus(p)
@@ -195,9 +241,9 @@ def line_bound_certificates(a: int, p: int | PrimeModulus) -> list[tuple[str, in
 def line_height_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Heights and smallest argmin multipliers of <1, a> for a = 1..p-1.
 
-    Returns read-only arrays indexed by a-1, from one heights_of call. Its
-    blocks bound the memory, so no p is refused; a group of rows stops once
-    k + 1 reaches each row's best sum, and time is O(p^2) at worst.
+    Returns read-only arrays indexed by a-1, from one heights_of call, which
+    walks the Klein sail of every row: O(p log p) time and O(p) memory, so no
+    p is refused.
     """
     p = _odd_modulus(p).p
     heights, argmins = heights_of(np.arange(1, p, dtype=np.int64)[:, None], p)

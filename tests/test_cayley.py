@@ -31,7 +31,12 @@ from projheight.cayley import (
 )
 from projheight.cli import EXIT_OK, main
 from projheight.heights import BudgetExceededError, height
-from projheight.modular import canonical_connection_sets, canonicalize, mod_inverse
+from projheight.modular import (
+    canonical_connection_sets,
+    canonicalize,
+    mod_inverse,
+    primes_up_to,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,6 +73,20 @@ def brute_upper(A, p):
     sums = [sum((pow(k, -1, p) * a) % p for a in A) for k in range(1, p)]
     best = min(sums)
     return best, sums.index(best) + 1
+
+
+def bfs_girth(A, p):
+    """Girth by breadth-first search from 0, closing a cycle through each -a."""
+    dist = [-1] * p
+    dist[0] = 0
+    queue = [0]
+    for x in queue:
+        for a in A:
+            y = (x + a) % p
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return 1 + min(dist[(p - a) % p] for a in A)
 
 
 def sumset_girth(A, p):
@@ -453,6 +472,11 @@ class TestShortestCycle:
     def test_agrees_with_sumset_oracle(self):
         for p, A in SMALL:
             assert shortest_cycle(CayleyGraph(p, A)) == sumset_girth(A, p), (p, A)
+
+    def test_pairs_match_bfs(self):
+        for p in primes_up_to(61):
+            for A in itertools.combinations(range(1, p), 2):
+                assert shortest_cycle(CayleyGraph(p, A)) == bfs_girth(A, p), (p, A)
 
     def test_girth_windows(self):
         # enough generators force short cycles

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,16 @@ class TestCayleyCommand:
         row = dict(zip(header, rows[0]))
         assert row["triangle_free"] == "false"
         assert row["witness"] == "1;6"
+
+    def test_girth_at_max_modulus(self, capsys):
+        # a BFS would walk 2^31 - 1 vertices; the d = 2 girth is one line height
+        start = time.perf_counter()
+        code, out, _ = run(
+            ["cayley", "-p", "2147483647", "-A", "1,5", "--girth", "--format", "csv"], capsys
+        )
+        assert code == EXIT_OK and time.perf_counter() - start < 1.0
+        header, rows = parse_csv(out)
+        assert dict(zip(header, rows[0]))["shortest_cycle"] == "429496731"
 
     def test_sum_free_checked_once(self, capsys, monkeypatch):
         real = cayley.is_k_sum_free

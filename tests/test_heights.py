@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from projheight.heights import (
     max_height_k_free,
     spectrum,
 )
-from projheight.modular import canonicalize, primes_up_to
+from projheight.modular import canonicalize, is_prime, primes_up_to
 
 ODD_PRIMES = tuple(p for p in primes_up_to(100) if p > 2)
 
@@ -193,10 +194,76 @@ class TestKernelBlockEdges:
 
 
 def test_line_height_table_has_no_cap():
-    hts, ams = line_height_table(2239)
-    assert len(hts) == 2238 and int(hts[-1]) == 2239 and int(ams[-1]) == 1
-    for a in (7, 1000, 2237):
-        assert (int(hts[a - 1]), int(ams[a - 1])) == pruned_line_record(a, 2239)
+    for p, spots in ((2239, (7, 1000, 2237)), (100003, (2, 316, 4567, 50001, 77777, 100001))):
+        hts, ams = line_height_table(p)
+        assert len(hts) == p - 1 and int(hts[-1]) == p and int(ams[-1]) == 1
+        for a in spots:
+            assert (int(hts[a - 1]), int(ams[a - 1])) == pruned_line_record(a, p)
+
+
+def line_oracle(p):
+    """(heights, least argmins) of <1, a> for a = 0..p-1, from the full (a, k) table."""
+    k = np.arange(1, p)
+    sums = k + np.arange(p)[:, None] * k % p
+    return sums.min(axis=1), sums.argmin(axis=1) + 1
+
+
+def sail_record(a, p):
+    hts, ams = heights._sail_heights(np.array([a], dtype=np.int64), p)
+    return int(hts[0]), int(ams[0])
+
+
+class TestSail:
+    """The Klein-sail walk against the defining minimum and the blocked kernel."""
+
+    def test_every_line_point_to_997(self):
+        for p in primes_up_to(997)[1:]:
+            hts, ams = heights._sail_heights(np.arange(p, dtype=np.int64), p)
+            want_h, want_k = line_oracle(p)
+            assert hts.tolist() == want_h.tolist() and ams.tolist() == want_k.tolist(), p
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101, 997, 10007])
+    def test_special_a(self, p):
+        # a = p - 1 ties at every k; the others are the closed-form cases
+        for a in {1, 2, p - 1, p - 2, (p - 1) // 2, (p + 1) // 2}:
+            if 1 <= a <= p - 1:
+                assert sail_record(a, p) == brute_record((1, a), p), (p, a)
+
+    def test_special_a_at_max_modulus(self):
+        p = 2**31 - 1
+        for a in (1, 2, p - 1, p - 2, (p - 1) // 2, (p + 1) // 2):
+            assert sail_record(a, p) == line_fast_path(a, p)[:2], a
+
+    def test_matches_blocked_kernel_near_max_modulus(self):
+        rng = random.Random(7)
+        points = []
+        while len(points) < 200:
+            p = rng.randrange(2**30 + 1, 2**31 - 1, 2)
+            if is_prime(p):
+                points.append((p, rng.randrange(1, p)))
+        for p, a in points:
+            tails = np.array([[a]], dtype=np.int64)
+            got = heights.heights_of(tails, p)
+            want = heights._blocked_heights(tails, p)
+            assert [x.tolist() for x in got] == [x.tolist() for x in want], (p, a)
+
+    def test_zero_tails(self):
+        for p in (3, 5, 7, 31):
+            for tails in (np.zeros((2, 0), dtype=np.int64), np.zeros((3, 2), dtype=np.int64)):
+                hts, ams = heights.heights_of(tails, p)
+                assert hts.tolist() == [1] * len(tails) and ams.tolist() == [1] * len(tails)
+            counts: dict[int, int] = {1: 1}  # <0, 1>
+            for t in range(p):
+                h = brute_height((1, t), p)
+                counts[h] = counts.get(h, 0) + 1
+            assert spectrum(p, 2).count_per_value == counts, p
+
+    def test_rows_are_routed_by_nonzeros(self):
+        p = 31
+        tails = np.array([[0, 5], [3, 0], [0, 0], [2, 7], [30, 0], [1, 30]], dtype=np.int64)
+        got = heights.heights_of(tails, p)
+        want = heights._blocked_heights(tails, p)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
 
 
 def test_line_bound_certificates():

@@ -1,5 +1,6 @@
-"""Modules of the package import no private name from one another, and every
-name the package exports is defined in its own sources."""
+"""Modules of the package import no private name from one another, use every
+name they import, and every name the package exports is defined in its own
+sources."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,21 @@ def test_every_export_is_defined_in_the_package():
                 defined.add(node.target.id)
     dangling = [n for n in projheight.__all__ if not hasattr(projheight, n) or n not in defined]
     assert dangling == []
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue  # it imports to re-export
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} imports {name} unused")
+    assert unused == []
