@@ -160,7 +160,8 @@ def beta_upper(G: CayleyGraph) -> tuple[int, int]:
     canonical point <A/a_1> at multiplier v = a_1 * k^-1. So the value is its
     height h, and the witness, the smallest k attaining it, is the least
     a_1 * v^-1 mod p over the minimizers v, all of which have v <= h - d + 1.
-    Work is O(h*d), not O(p*d).
+    A line point has one minimizer, from the sail in O(log p); any other point
+    costs O(h*d), not O(p*d).
     """
     return _upper_bounds(G.modulus, [G.A])[0]
 
@@ -171,6 +172,12 @@ def _upper_bounds(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[tup
     A digon {a, p-a} in A adds exactly p at every multiplier, so it is dropped
     first: h(A) = p*#digons + h(rest), with the rest's witness, or 1 when the
     rest is empty. The dropped places in the tails are left as zeros.
+
+    A tail with at most one nonzero b is a line point <1, b>, and b != p-1, as
+    that would be a digon. Its minimizer is unique: if k1 < k2 both attain the
+    least k + (k*b mod p), then k2 - k1 = y1 - y2 = -(k2 - k1)*b mod p, so
+    b = p-1. So its witness comes from heights_of's argmin, and only the other
+    tails list their tied minimizers with minimizers_of.
     """
     p = pm.p
     A = np.array(sets, dtype=np.int64)
@@ -184,9 +191,15 @@ def _upper_bounds(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[tup
     if live.size:
         lead = rest[live, 0].tolist()
         tails = rest[live, 1:] * np.array([pow(a, -1, p) for a in lead])[:, None] % p
-        rest_heights, _ = heights_of(tails, p)
+        rest_heights, argmins = heights_of(tails, p)
         heights[live] += rest_heights
-        for row, v in minimizers_of(tails, p, rest_heights).tolist():
+        line = np.count_nonzero(tails, axis=1) <= 1
+        minimizers = list(zip(np.flatnonzero(line).tolist(), argmins[line].tolist()))
+        other = np.flatnonzero(~line).tolist()
+        if other:
+            found = minimizers_of(tails[other], p, rest_heights[other]).tolist()
+            minimizers += [(other[row], v) for row, v in found]
+        for row, v in minimizers:
             n = live[row]
             witness[n] = min(witness[n], lead[row] * pow(v, -1, p) % p)
     return list(zip(heights.tolist(), witness))
@@ -322,21 +335,11 @@ def _cheapest_closed_walk(
     return weight, tuple(counts)
 
 
-def _popcount16_table() -> np.ndarray:
-    table = np.zeros(1 << 16, dtype=np.uint8)
-    for i in range(16):
-        table[1 << i : 1 << (i + 1)] = table[: 1 << i] + 1
-    return table
-
-
-_PC16 = _popcount16_table()
-
-
 @lru_cache(maxsize=2)
 def _popcount_layers(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Subsets of an m-element set grouped by popcount, with layer offsets."""
     idx = np.arange(1 << m, dtype=np.int32)
-    pc = _PC16[idx & 0xFFFF] + _PC16[idx >> 16]
+    pc = np.bitwise_count(idx)
     order = np.argsort(pc, kind="stable").astype(np.int32)
     counts = np.bincount(pc, minlength=m + 1)
     offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -379,8 +382,7 @@ def beta_exact(edge_list: Iterable[Edge], cap: int = DEFAULT_EXACT_CAP) -> int:
             pv = pred[v]
             sel = (layer >> v) & 1 == 1
             sub = layer[sel] ^ (1 << v)
-            into = np.int32(pv) & sub
-            cand = best[sub] + _PC16[into & 0xFFFF] + _PC16[into >> 16]
+            cand = best[sub] + np.bitwise_count(np.int32(pv) & sub)
             merged = vals[sel]
             np.maximum(merged, cand, out=merged)
             vals[sel] = merged

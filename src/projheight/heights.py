@@ -4,13 +4,12 @@ The height of a point <a_1, ..., a_d> over F_p is the minimum over
 k = 1..p-1 of the sum of least nonnegative residues of k*a_i. This module
 computes exact heights, applies the closed-form special cases known for the
 projective line, enumerates height spectra, scans rational gap windows, and
-searches sum-free connection sets.
+checks connection sets for small zero sums.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +21,6 @@ from .modular import (
     PrimeModulus,
     ProjectivePoint,
     as_modulus,
-    canonical_connection_sets,
     connection_set_residues,
     d_star,
 )
@@ -389,51 +387,3 @@ def is_k_sum_free(A: Iterable[int], k: int, p: int | PrimeModulus) -> SumFreeCer
             if sum(combo) % pm.p == 0:
                 return SumFreeCertificate(elems, k, pm.p, False, combo)
     return SumFreeCertificate(elems, k, pm.p, True, None)
-
-
-@dataclass(frozen=True)
-class KFreeSearchReport:
-    """Largest height among k-sum-free connection sets of size d.
-
-    max_height and argmax are None when no set qualifies.
-    """
-
-    p: int
-    d: int
-    k: int
-    max_height: int | None
-    argmax: tuple[int, ...] | None
-    qualifying: int
-    classes: int
-
-
-def max_height_k_free(
-    p: int | PrimeModulus, d: int, k: int, budget: int = DEFAULT_POINT_BUDGET
-) -> KFreeSearchReport:
-    """Search all d-subsets of F_p* (up to scalars) that are k-sum-free.
-
-    Returns the maximum height of <a_1, ..., a_d> over qualifying sets, with
-    the first set attaining it.
-    """
-    pm = _odd_modulus(p)
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    total = math.comb(pm.p - 1, d)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
-    classes = list(canonical_connection_sets(pm, d))
-    free = [A for A in classes if is_k_sum_free(A, k, pm).ok]
-    best = arg = None
-    if free:
-        # every class starts with 1, so its tail is the rest; argmax takes the first set
-        heights, _ = heights_of(np.array(free, dtype=np.int64)[:, 1:], pm.p)
-        best, arg = int(heights.max()), free[int(heights.argmax())]
-    return KFreeSearchReport(
-        p=pm.p,
-        d=d,
-        k=k,
-        max_height=best,
-        argmax=arg,
-        qualifying=len(free),
-        classes=len(classes),
-    )

@@ -288,6 +288,23 @@ class TestBetaUpper:
             assert beta_upper(CayleyGraph(p, [1, p - 1])) == (p, 1)
             assert beta_upper(CayleyGraph(p, [1, 2, p - 2, p - 1])) == (2 * p, 1)
 
+    def test_line_points_have_one_minimizer(self):
+        # k + (k*b mod p) ties only at b = p-1, a digon, which beta_upper drops
+        for p in primes_up_to(200)[1:]:
+            for b in range(p - 1):
+                sums = [k + k * b % p for k in range(1, p)]
+                assert sums.count(min(sums)) == 1, (p, b)
+
+    def test_line_witness_needs_no_rescan(self, monkeypatch):
+        def no_rescan(*args, **kwargs):
+            raise AssertionError("minimizers_of ran on a line point")
+
+        monkeypatch.setattr("projheight.cayley.minimizers_of", no_rescan)
+        assert beta_upper(CayleyGraph(2**31 - 1, (1, 2**30 - 1))) == (2**30, 1)
+        for p in (13, 101):
+            for A in [(3,), (1, 2), (2, 7), (1, 2, p - 2), (3, 4, p - 3)]:
+                assert beta_upper(CayleyGraph(p, A)) == brute_upper(A, p), (p, A)
+
 
 class TestBetaExact:
     def test_base_cases(self):

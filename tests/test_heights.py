@@ -19,7 +19,6 @@ from projheight.heights import (
     line_fast_path,
     line_height_fast,
     line_height_table,
-    max_height_k_free,
     spectrum,
 )
 from projheight.modular import canonicalize, is_prime, primes_up_to
@@ -409,16 +408,3 @@ def test_is_k_sum_free_matches_exhaustive_definition():
         assert cert.ok == (not witnesses)
         if witnesses:
             assert cert.witness == witnesses[0]
-
-
-def test_max_height_k_free():
-    rep = max_height_k_free(7, 2, 3)
-    assert (rep.max_height, rep.argmax, rep.qualifying) == (3, (1, 2), 1)
-    rep = max_height_k_free(11, 2, 3)
-    assert (rep.max_height, rep.argmax, rep.qualifying) == (5, (1, 7), 3)
-    rep = max_height_k_free(5, 2, 2)
-    assert (rep.max_height, rep.argmax) == (3, (1, 2))
-    rep = max_height_k_free(7, 3, 3)
-    assert rep.max_height is None and rep.argmax is None and rep.qualifying == 0
-    with pytest.raises(BudgetExceededError):
-        max_height_k_free(97, 4, 3, budget=100)
