@@ -7,11 +7,13 @@ violation. Output is deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import repeat
+from math import isqrt
 
 from .cayley import (
     DEFAULT_EXACT_CAP,
@@ -139,6 +141,19 @@ def cmd_height(args: argparse.Namespace) -> OutputRecord:
     )
 
 
+def _line_methods(p: int) -> list[str]:
+    """The table's method of <1, a> for a = 2..p-2, p >= 5: "formula" where line_fast_path fires.
+
+    On [2, p-2] it fires only where a*a < p, i.e. a <= isqrt(p-1) for prime p,
+    or at a = (p-1)/2, (p+1)/2 or p-2, so only those O(sqrt p) a are tested.
+    """
+    methods = ["brute"] * (p - 3)  # indexed by a - 2
+    for a in {*range(2, isqrt(p - 1) + 1), (p - 1) // 2, (p + 1) // 2, p - 2}:
+        if line_fast_path(a, p) is not None:
+            methods[a - 2] = "formula"
+    return methods
+
+
 def cmd_table(args: argparse.Namespace) -> OutputRecord:
     if args.paper_range:
         primes = list(PAPER_RANGE_PRIMES)
@@ -159,9 +174,7 @@ def cmd_table(args: argparse.Namespace) -> OutputRecord:
             continue  # a ranges over [2, p-2], empty below 5
         # the arrays are indexed by a - 1
         heights_row, argmins = (col[1 : p - 2].tolist() for col in line_height_table(p))
-        a_range = range(2, p - 1)
-        methods = ["brute" if line_fast_path(a, p) is None else "formula" for a in a_range]
-        rows += zip(repeat(p), a_range, heights_row, argmins, methods)
+        rows += zip(repeat(p), range(2, p - 1), heights_row, argmins, _line_methods(p))
     return OutputRecord(
         command="table",
         parameters=parameters,
@@ -337,8 +350,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call to main, not at import, and shared by every later
+# call in the process; build_parser() still returns a fresh parser.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         record = args.func(args)
     except ValueError as exc:

@@ -10,6 +10,7 @@ checks connection sets for small zero sums.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,9 +28,11 @@ from .modular import (
 
 DEFAULT_POINT_BUDGET = 5_000_000
 
-# 8 MiB per int64 block. On a 2-vCPU VM 2**21 took two spectra from 54 to 78 MB
-# peak, and 2**19 slowed the line tables up to p = 997 from 0.33 to 0.53 s.
-_BLOCK_CELLS = 1 << 20
+# 2 MiB per int64 block. On a 2-vCPU VM 2**20 (8 MiB) made the peak RSS of the
+# point-heights benchmark jump between about 57 and 65 MB with allocation
+# history and took spectrum(199, 3) from 0.138 to 0.148 s; 2**21 took two
+# spectra from 54 to 78 MB. Line points go through the sail, not blocks.
+_BLOCK_CELLS = 1 << 18
 
 
 class BudgetExceededError(Exception):
@@ -352,10 +355,13 @@ def gap_scan(
         raise ValueError("c must be nonnegative")
     if pm.p + 1 > budget:
         raise BudgetExceededError(pm.p + 1, budget)
-    values = np.union1d(line_height_table(pm.p)[0], [1]).tolist()
+    values = np.union1d(line_height_table(pm.p)[0], [1])
     lower = Fraction(pm.p, r + 1) + c
     upper = Fraction(pm.p, r) - c
-    inside = tuple(v for v in values if lower < v < upper)
+    # for an integer v, lower < v < upper iff floor(lower) < v < ceil(upper)
+    start = np.searchsorted(values, math.floor(lower), side="right")
+    stop = np.searchsorted(values, math.ceil(upper), side="left")
+    inside = tuple(values[start:stop].tolist())
     return GapScanReport(
         p=pm.p, r=r, c=c, lower=lower, upper=upper, empty=not inside, inside=inside
     )

@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from projheight import cayley
+from projheight import cayley, cli
 from projheight.cayley import (
     BetaReport,
     CapExceededError,
@@ -18,7 +22,11 @@ from projheight.cayley import (
     is_triangle_free,
 )
 from projheight.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
+from projheight.heights import line_fast_path
+from projheight.modular import primes_up_to
 from projheight.report import cell
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(argv, capsys):
@@ -329,3 +337,58 @@ class TestDeterminism:
         assert len(csv_rows) == len(payload["rows"])
         for csv_row, json_row in zip(csv_rows, payload["rows"]):
             assert csv_row == [cell(json_row[col]) for col in header]
+
+
+class TestParserCache:
+    """main parses with one parser per process; build_parser() stays fresh per call."""
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    @staticmethod
+    def run_sequence(tmp_path, capsys):
+        """An argparse error, then commands whose attributes differ, in one process."""
+        results = []
+        with pytest.raises(SystemExit) as info:
+            main(["height", "-p", "11"])
+        results.append((info.value.code, *capsys.readouterr()))
+        report = tmp_path / "scan.txt"
+        code = main(["scan", "--pmax", "7", "-d", "2", "--out", str(report)])
+        results.append((code, *capsys.readouterr(), report.read_text(encoding="utf-8")))
+        for fmt in ("text", "csv", "json"):
+            code = main(["height", "-p", "11", "-a", "2,3", "--format", fmt])
+            results.append((code, *capsys.readouterr()))
+        results.append((main(["table", "--pmin", "5", "--pmax", "13"]), *capsys.readouterr()))
+        return results
+
+    def test_repeated_calls_match_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        cli._parser.cache_clear()
+        cached = self.run_sequence(tmp_path, capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.run_sequence(tmp_path, capsys)
+        assert cached == fresh
+        assert cached[0][0] == EXIT_INPUT and "required" in cached[0][2]
+        assert cached[1][0] == EXIT_OK and "report written to" in cached[1][1]
+        for (code, out, err), fmt in zip(cached[2:5], ("text", "csv", "json")):
+            assert (code, err) == (EXIT_OK, "")
+            assert out == (GOLDEN / f"height.{fmt}").read_text(encoding="utf-8")
+        assert cached[5] == (EXIT_OK, (GOLDEN / "table.text").read_text(encoding="utf-8"), "")
+
+
+def test_table_methods_match_line_fast_path():
+    for p in (q for q in primes_up_to(3000) if q >= 5):
+        want = ["brute" if line_fast_path(a, p) is None else "formula" for a in range(2, p - 1)]
+        assert cli._line_methods(p) == want, p
+
+
+def test_module_entry_point_matches_main(capsys):
+    argv = ["height", "-p", "11", "-a", "2,3", "--format", "csv"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "projheight", *argv], capture_output=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")

@@ -373,6 +373,17 @@ def test_gap_scan_exact_rational_window():
     assert 6 in spectrum(11, 2).values
 
 
+def test_gap_scan_matches_rational_comparisons():
+    # the integer window floor(lo) < v < ceil(hi) against the defining Fraction test
+    for p in (q for q in primes_up_to(997) if q > 2):
+        values = set(line_height_table(p)[0].tolist()) | {1}
+        for r in (1, 2, 3):
+            for c in (0, Fraction(1, 4), Fraction(1, 2), 1, Fraction(3, 2), Fraction(7, 3)):
+                lo, hi = Fraction(p, r + 1) + c, Fraction(p, r) - c
+                want = tuple(sorted(v for v in values if lo < v < hi))
+                assert gap_scan(p, r, c).inside == want, (p, r, c)
+
+
 def test_is_k_sum_free():
     assert is_k_sum_free((1, 2), 3, 7).ok
     cert = is_k_sum_free((1, 6), 2, 7)
