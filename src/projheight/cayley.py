@@ -13,10 +13,10 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,8 +38,11 @@ from .modular import (
 )
 
 DEFAULT_EXACT_CAP = 24
-# int32 subset masks and the 2^m DP table both stop being viable past 30
+# exact audits stop at 30 vertices; past DP_CEILING only a packing settles beta
 EXACT_CEILING = 30
+# the subset DP peaks at about 21 bytes per subset (the int32 table and layer
+# order, plus one layer's temporaries): 1.4 GB at 2^26 subsets, 11 GB at 2^29
+DP_CEILING = 26
 
 Edge = tuple[Hashable, Hashable]
 
@@ -51,6 +54,14 @@ class CapExceededError(Exception):
         super().__init__(f"graph has {size} vertices, exact cap is {cap}")
         self.size = size
         self.cap = cap
+
+
+def _check_exact_cap(sizes: Iterable[int], cap: int) -> None:
+    """Refuse the first graph of sizes vertices past min(cap, EXACT_CEILING)."""
+    limit = min(cap, EXACT_CEILING)
+    for size in sizes:
+        if size > limit:
+            raise CapExceededError(size, limit)
 
 
 @dataclass(frozen=True)
@@ -353,7 +364,7 @@ def beta_exact(edge_list: Iterable[Edge], cap: int = DEFAULT_EXACT_CAP) -> int:
     equals |E| minus the maximum forward-edge count over all orders. That
     maximum satisfies best(S) = max over v in S of best(S - v) plus the number
     of edges into v from S - v, a DP over vertex subsets evaluated here one
-    popcount layer at a time. Time O(m * 2^m); refuses more than cap vertices.
+    popcount layer at a time. Time O(m * 2^m); refuses past min(cap, DP_CEILING) vertices.
     """
     simple: set[Edge] = set()
     loops: set[Edge] = set()
@@ -365,7 +376,7 @@ def beta_exact(edge_list: Iterable[Edge], cap: int = DEFAULT_EXACT_CAP) -> int:
             if w not in seen:
                 seen[w] = len(seen)
     m = len(seen)
-    limit = min(cap, EXACT_CEILING)
+    limit = min(cap, DP_CEILING)
     if m > limit:
         raise CapExceededError(m, limit)
     if not simple:
@@ -434,7 +445,7 @@ class BetaReport:
     triangle_certificate is the 3-sum-free check of A, with its witness;
     css_margin is gamma/2 minus the best available beta bound; violations
     lists any failed assertion (expected empty). shortest_cycle is the girth
-    when the caller measured it, as scan_css does.
+    when it was measured, as scan_css does; every field is set when it is built.
     """
 
     graph: CayleyGraph
@@ -452,53 +463,57 @@ class BetaReport:
         return self.triangle_certificate.ok
 
 
-def css_check(
-    G: CayleyGraph, exact: bool = False, cap: int = DEFAULT_EXACT_CAP, upper: tuple | None = None
-) -> BetaReport:
+def css_check(G: CayleyGraph, exact: bool = False, cap: int = DEFAULT_EXACT_CAP) -> BetaReport:
     """Populate a BetaReport and evaluate the CSS assertions that apply.
 
     Triangle-free graphs with d = 2 and p >= 7 must satisfy the chain
     beta_upper <= (p-1)/2 <= gamma/2; a triangle-free graph with an exact beta
     must satisfy beta_exact <= gamma/2. Failures are recorded, not raised.
-    upper is the pair beta_upper(G) when the caller has already computed it.
 
     With exact, a graph past the cap is refused before any work. Then
     beta_exact = beta_upper when cycle_packing finds a packing that
     packing_settles accepts: beta_upper >= beta >= ceil(p * sum y) >=
     beta_upper. Only when the packing leaves a gap does the subset DP run.
+    This is the batch of one; scan_css audits a whole prime in one batch.
     """
-    limit = min(cap, EXACT_CEILING)
-    if exact and G.p > limit:
-        raise CapExceededError(G.p, limit)
-    cert = is_triangle_free(G)
-    g = gamma(G)
-    upper, witness_k = beta_upper(G) if upper is None else upper
-    exact_beta = None
     if exact:
-        packing = cycle_packing(G, upper)
-        settled = packing is not None and packing_settles(G, packing, upper)
-        exact_beta = upper if settled else beta_exact(edges(G), cap=cap)
-    bounds = [upper] if exact_beta is None else [upper, exact_beta]
-    margin = Fraction(g, 2) - min(bounds)
-    violations: list[str] = []
-    if cert.ok:
-        if G.d == 2 and G.p >= 7:
-            if 2 * upper > G.p - 1:
-                violations.append("beta_upper > (p-1)/2")
-            if G.p - 1 > g:
-                violations.append("(p-1)/2 > gamma/2")
-        if exact_beta is not None and 2 * exact_beta > g:
-            violations.append("beta_exact > gamma/2")
-    return BetaReport(
-        graph=G,
-        triangle_certificate=cert,
-        gamma=g,
-        beta_upper=upper,
-        witness_k=witness_k,
-        beta_exact=exact_beta,
-        css_margin=margin,
-        violations=tuple(violations),
-    )
+        _check_exact_cap([G.p], cap)
+    return next(_audit(G.modulus, [G], [None], exact, cap))
+
+
+def _audit(
+    pm: PrimeModulus, graphs: Sequence[CayleyGraph], girths: Sequence, exact: bool, cap: int
+) -> Iterator[BetaReport]:
+    """css_check's report of each graph on pm, built once, with girths[i] as its girth."""
+    uppers = _upper_bounds(pm, [G.A for G in graphs])
+    for G, (upper, witness_k), girth in zip(graphs, uppers, girths):
+        cert = is_triangle_free(G)
+        g = gamma(G)
+        exact_beta = None
+        if exact:
+            packing = cycle_packing(G, upper)
+            settled = packing is not None and packing_settles(G, packing, upper)
+            exact_beta = upper if settled else beta_exact(edges(G), cap=cap)
+        violations: list[str] = []
+        if cert.ok:
+            if G.d == 2 and G.p >= 7:
+                if 2 * upper > G.p - 1:
+                    violations.append("beta_upper > (p-1)/2")
+                if G.p - 1 > g:
+                    violations.append("(p-1)/2 > gamma/2")
+            if exact_beta is not None and 2 * exact_beta > g:
+                violations.append("beta_exact > gamma/2")
+        yield BetaReport(
+            graph=G,
+            triangle_certificate=cert,
+            gamma=g,
+            beta_upper=upper,
+            witness_k=witness_k,
+            beta_exact=exact_beta,
+            css_margin=Fraction(g, 2) - (upper if exact_beta is None else exact_beta),
+            violations=tuple(violations),
+            shortest_cycle=girth,
+        )
 
 
 @dataclass(frozen=True)
@@ -533,26 +548,21 @@ def scan_css(
     """Audit every size-d connection set on every odd prime p <= p_max.
 
     Sets are enumerated up to scalar equivalence (A and cA are isomorphic via
-    x -> cx). Each row is the css_check report of one class, with its girth.
-    The budget counts subsets, the sum over primes of C(p-1, d). With exact,
-    a prime past the cap is refused before any work.
+    x -> cx). Each prime is one css_check batch with its girths, each row built
+    once. The budget counts subsets, the sum over primes of C(p-1, d). With
+    exact, the first prime past the cap is refused before any work.
     """
     primes = [p for p in primes_up_to(p_max) if p > 2]
     total = sum(math.comb(p - 1, d) for p in primes)
     if total > budget:
         raise BudgetExceededError(total, budget)
     if exact and d >= 1:
-        limit = min(cap, EXACT_CEILING)
         # each class graph has p vertices, and primes p <= d have no class
-        too_big = next((p for p in primes if p > max(limit, d)), None)
-        if too_big is not None:
-            raise CapExceededError(too_big, limit)
+        _check_exact_cap([p for p in primes if p > d], cap)
     rows = []
     for p in primes:
         pm = PrimeModulus(p)
-        classes = list(canonical_connection_sets(pm, d))
-        uppers = _upper_bounds(pm, classes) if classes else ()
-        for A, upper, girth in zip(classes, uppers, _shortest_cycles(pm, classes)):
-            report = css_check(CayleyGraph(pm, A), exact=exact, cap=cap, upper=upper)
-            rows.append(replace(report, shortest_cycle=girth))
+        graphs = [CayleyGraph(pm, A) for A in canonical_connection_sets(pm, d)]
+        if graphs:
+            rows += _audit(pm, graphs, _shortest_cycles(pm, [G.A for G in graphs]), exact, cap)
     return CssScanReport(p_max=p_max, d=d, exact=exact, rows=tuple(rows))

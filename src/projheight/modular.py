@@ -150,22 +150,12 @@ def _least_multiple(elems: tuple[int, ...], p: int) -> tuple[int, ...]:
     return min(tuple(sorted(c * x % p for x in elems)) for c in inverses)
 
 
-def connection_set_canonical(A: Iterable[int], p: int | PrimeModulus) -> tuple[int, ...]:
-    """Smallest scalar multiple of the set A: min over c in F_p* of sorted(c*A).
-
-    The minimum starts with 1, and c*A contains 1 only when c = a^-1 for some
-    a in A, so only those d multipliers are tried: O(d^2 log d), not O(p d log d).
-    """
-    pm = as_modulus(p)
-    return _least_multiple(connection_set_residues(A, pm), pm.p)
-
-
 def canonical_connection_sets(p: int | PrimeModulus, d: int) -> Iterator[tuple[int, ...]]:
     """Each scalar-equivalence class of d-subsets of F_p*, once, in lexicographic order.
 
-    A set is emitted iff it equals its own canonical form, so the stream is the
-    sorted list of class representatives. A canonical set starts with 1, so
-    only the C(p-2, d-1) sets (1,) + rest are tested, each against its d
+    A set is emitted iff it is the least sorted(c*A) over c in F_p*, so the
+    stream is the sorted list of class representatives. Such a set starts with
+    1, so only the C(p-2, d-1) sets (1,) + rest are tested, each against its d
     multiples a^-1 * A: O(C(p-2, d-1) * d^2 log d) in all.
     """
     pv = as_modulus(p).p

@@ -569,6 +569,15 @@ class TestScanCss:
                 assert (row.beta_upper, row.witness_k) == beta_upper(row.graph)
                 assert (row.beta_upper, row.witness_k) == brute_upper(row.graph.A, row.graph.p)
 
+    def test_rows_match_css_check(self):
+        # each prime's batch against the batch of one; p = 17, d = 3 holds both DP gap classes
+        cases = [(13, d, False) for d in (1, 3, 4, 6, 12)]
+        cases += [(19, 2, True), (17, 3, True), (23, 4, False)]
+        for p_max, d, exact in cases:
+            for row in scan_css(p_max, d, exact=exact).rows:
+                G = row.graph
+                assert row == replace(css_check(G, exact), shortest_cycle=shortest_cycle(G))
+
     def test_empty_range(self):
         rep = scan_css(2, 2)
         assert rep.instances == 0 and rep.rows == ()

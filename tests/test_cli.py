@@ -291,11 +291,26 @@ class TestExitCodes:
 
         monkeypatch.setattr("projheight.cayley.edges", no_work)
         monkeypatch.setattr("projheight.cayley.beta_upper", no_work)
+        monkeypatch.setattr("projheight.cayley._upper_bounds", no_work)
         with pytest.raises(CapExceededError):
             css_check(CayleyGraph(29, (1, 2)), exact=True)
         code, out, err = run(["cayley", "-p", "1000003", "-A", "1,2", "--exact"], capsys)
         assert code == EXIT_LIMIT and out == ""
         assert err == "error: graph has 1000003 vertices, exact cap is 24\n"
+
+    def test_dp_ceiling_checked_before_the_table(self, capsys, monkeypatch):
+        def no_table(*args, **kwargs):
+            raise AssertionError("the subset DP allocated its table")
+
+        monkeypatch.setattr("projheight.cayley._popcount_layers", no_table)
+        monkeypatch.setenv("PROJHEIGHT_EXACT_CAP", "29")
+        # the packing leaves a gap here, and 2^29 subsets would take about 11 GB
+        code, out, err = run(["cayley", "-p", "29", "-A", "1,7,16", "--exact"], capsys)
+        assert code == EXIT_LIMIT and out == ""
+        assert err == "error: graph has 29 vertices, exact cap is 26\n"
+        # every d = 2 class settles by its packing, with no DP
+        code, _, _ = run(["cayley", "-p", "29", "-A", "1,2", "--exact"], capsys)
+        assert code == EXIT_OK
 
     def test_exact_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PROJHEIGHT_EXACT_CAP", "10")

@@ -1,6 +1,6 @@
 """Modules of the package import no private name from one another, use every
 name they import, and every name the package exports is defined in its own
-sources."""
+sources and used by them or by the acceptance tests."""
 
 import ast
 from pathlib import Path
@@ -38,6 +38,21 @@ def test_every_export_is_defined_in_the_package():
                 defined.add(node.target.id)
     dangling = [n for n in projheight.__all__ if not hasattr(projheight, n) or n not in defined]
     assert dangling == []
+
+
+def test_every_export_is_used():
+    # a name only re-exported by __init__ is code that nothing needs
+    paths = [p for p in SOURCES if p.name != "__init__.py"]
+    paths.append(Path(__file__).parent / "test_acceptance.py")
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [n for n in projheight.__all__ if n != "__version__" and n not in used]
+    assert unused == []
 
 
 def test_every_import_is_used():

@@ -14,7 +14,6 @@ from projheight.modular import (
     ProjectivePoint,
     canonical_connection_sets,
     canonicalize,
-    connection_set_canonical,
     d_star,
     is_prime,
     mod_inverse,
@@ -118,16 +117,6 @@ def test_d_star():
     assert d_star(canonicalize((3, 0, 6), 7)) == d_star(canonicalize((1, 0, 2), 7))
 
 
-def test_connection_set_canonical():
-    # {1, 7} and {1, 8} are scalar multiples over F_11: 8 * {1, 7} = {8, 1}
-    assert connection_set_canonical((1, 7), 11) == connection_set_canonical((1, 8), 11)
-    assert connection_set_canonical((2, 4), 7) == connection_set_canonical((1, 2), 7)
-    with pytest.raises(ValueError):
-        connection_set_canonical((0, 1), 7)
-    with pytest.raises(ValueError):
-        connection_set_canonical((3, 3), 7)
-
-
 def burnside_class_count(p: int, d: int) -> int:
     """Scalar classes of d-subsets of F_p*: by Burnside, as orbits of d-subsets
     of a cyclic group of order n = p - 1 under rotation."""
@@ -166,18 +155,14 @@ CLASS_COUNT_CASES = [
 
 @pytest.mark.parametrize("p,d,count", CLASS_COUNT_CASES)
 def test_canonical_connection_set_counts(p, d, count):
-    subsets, minima = brute_scalar_minima(p, d)
+    minima = brute_scalar_minima(p, d)[1]
     classes = list(canonical_connection_sets(p, d))
     assert len(classes) == count
     # the representatives are exactly the distinct brute minima, in lex order
     assert classes == sorted(set(minima))
-    pm = PrimeModulus(p)
-    assert [connection_set_canonical(A, pm) for A in subsets] == minima
 
 
 def test_canonical_connection_sets_cover_all_subsets():
     p, d = 11, 2
-    reps = {connection_set_canonical(A, p) for A in itertools.combinations(range(1, p), d)}
-    assert reps == set(canonical_connection_sets(p, d))
-    # both agree with the independent minimum over all c in 1..p-1
-    assert reps == set(brute_scalar_minima(p, d)[1])
+    # every subset's minimum over all c in 1..p-1 is one of the representatives
+    assert set(brute_scalar_minima(p, d)[1]) == set(canonical_connection_sets(p, d))
