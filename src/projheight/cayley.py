@@ -257,72 +257,72 @@ def cycle_packing(G: CayleyGraph, target: int) -> CyclePacking | None:
     """A cycle packing worth more than target - 1, or None if the LP stops short.
 
     Column generation on max sum_c y_c subject to sum_c y_c*c <= 1, y >= 0,
-    starting from the vectors p*e_i. Each restricted LP is solved by an exact
-    simplex in Fractions with Bland's rule (d rows); its duals x price a new
-    column, the cheapest closed walk through 0 under arc weights x. The search
-    stops with a packing as soon as p * sum y > target - 1, and with None once
-    no walk weighs less than 1, when the LP optimum is reached.
+    starting from the vectors p*e_i. Each restricted LP is solved by a simplex
+    with Bland's rule on d rows, in integers: the tableau is kept times one
+    common denominator D, the basis determinant, and a pivot on P = row_r[j]
+    replaces every other row by (P*row - row[j]*row_r) // D, an exact division,
+    then sets D = P (Edmonds-Bareiss). Its duals D*x price a new column, the
+    cheapest closed walk through 0 under arc weights x. The search stops with
+    a packing as soon as p * sum y > target - 1, and with None once no walk
+    weighs less than 1, when the LP optimum is reached.
     """
     p, d = G.p, G.d
-    # rows[r]: coefficients of the d slacks, then of each vector, then the
-    # right-hand side; the slack coefficients hold the basis inverse. cost[j]
-    # is the reduced cost of variable j, and the duals are x_k = -cost[k].
-    rows = [[Fraction(int(r == k)) for k in range(d)] + [Fraction(1)] for r in range(d)]
-    cost = [Fraction(0)] * d
+    # rows[r]: D times the coefficients of the d slacks, then of each vector,
+    # then the right-hand side; the slack coefficients hold D times the basis
+    # inverse. cost[j] is D times the reduced cost of variable j, and the
+    # scaled duals are D*x_k = -cost[k].
+    rows = [[int(r == k) for k in range(d)] + [1] for r in range(d)]
+    cost = [0] * d
     basis = list(range(d))
     vectors: list[tuple[int, ...]] = []
-
-    def add(c: tuple[int, ...]) -> None:
-        for row in rows:
-            row.insert(-1, sum((ci * row[k] for k, ci in enumerate(c)), Fraction(0)))
-        cost.append(1 + sum(ci * cost[k] for k, ci in enumerate(c)))
-        vectors.append(c)
-
-    def value() -> Fraction:
-        return sum((rows[r][-1] for r in range(d) if basis[r] >= d), Fraction(0))
-
-    def solve() -> None:
-        while p * value() <= target - 1:
+    D = 1
+    new = [tuple(p if k == i else 0 for k in range(d)) for i in range(d)]
+    while True:
+        for c in new:
+            for row in rows:
+                row.insert(-1, sum(ci * row[k] for k, ci in enumerate(c)))
+            cost.append(D + sum(ci * cost[k] for k, ci in enumerate(c)))
+            vectors.append(c)
+        while True:
+            held = [(vectors[b - d], row[-1]) for b, row in zip(basis, rows) if b >= d and row[-1]]
+            if p * sum(y for _, y in held) > (target - 1) * D:
+                weights = tuple(Fraction(y, D) for _, y in held)
+                return CyclePacking(tuple(c for c, _ in held), weights)
             j = next((j for j, rc in enumerate(cost) if rc > 0), None)
             if j is None:
-                return
-            # Bland: the least ratio, ties to the least basic variable
-            _, _, r = min(
-                (row[-1] / row[j], basis[r], r) for r, row in enumerate(rows) if row[j] > 0
-            )
-            pivot = rows[r][j]
-            rows[r] = [v / pivot for v in rows[r]]
+                break
+            # Bland: the least ratio rhs/row[j], ties to the least basic variable
+            r = -1
             for i, row in enumerate(rows):
-                if i != r and row[j]:
-                    rows[i] = [u - row[j] * v for u, v in zip(row, rows[r])]
-            cost[:] = [u - cost[j] * v for u, v in zip(cost, rows[r])]
-            basis[r] = j
-
-    for i in range(d):
-        add(tuple(p if k == i else 0 for k in range(d)))
-    while True:
-        solve()
-        if p * value() > target - 1:
-            held = [(vectors[b - d], row[-1]) for b, row in zip(basis, rows) if b >= d and row[-1]]
-            return CyclePacking(tuple(c for c, _ in held), tuple(y for _, y in held))
+                if row[j] > 0 and (
+                    r < 0 or (row[-1] * rows[r][j], basis[i]) < (rows[r][-1] * row[j], basis[r])
+                ):
+                    r = i
+            pivot = rows[r]
+            P = pivot[j]
+            for i, row in enumerate(rows):
+                if i != r:
+                    f = row[j]
+                    rows[i] = [(P * u - f * v) // D for u, v in zip(row, pivot)]
+            f = cost[j]
+            cost[:] = [(P * u - f * v) // D for u, v in zip(cost, pivot)]
+            basis[r], D = j, P
         weight, c = _cheapest_closed_walk(G, [-x for x in cost[:d]])
-        if weight >= 1:
+        if weight >= D:
             return None
-        add(c)
+        new = [c]
 
 
-def _cheapest_closed_walk(
-    G: CayleyGraph, x: Sequence[Fraction]
-) -> tuple[Fraction, tuple[int, ...]]:
+def _cheapest_closed_walk(G: CayleyGraph, x: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """The least weight of a nonempty closed walk through 0, with its step counts.
 
-    Step a_i weighs x_i > 0; Dijkstra from 0, closing through each a_i.
+    Step a_i weighs x_i >= 0; Dijkstra from 0, closing through each a_i.
     """
     p, A = G.p, G.A
-    dist = {0: Fraction(0)}
+    dist = {0: 0}
     step: dict[int, tuple[int, int]] = {}
-    heap = [(Fraction(0), 0)]
-    best: tuple[Fraction, int, int] | None = None
+    heap = [(0, 0)]
+    best: tuple[int, int, int] | None = None
     while heap:
         w, v = heapq.heappop(heap)
         if best is not None and w >= best[0]:
@@ -473,8 +473,12 @@ def css_check(G: CayleyGraph, exact: bool = False, cap: int = DEFAULT_EXACT_CAP)
     With exact, a graph past the cap is refused before any work. Then
     beta_exact = beta_upper when cycle_packing finds a packing that
     packing_settles accepts: beta_upper >= beta >= ceil(p * sum y) >=
-    beta_upper. Only when the packing leaves a gap does the subset DP run.
-    This is the batch of one; scan_css audits a whole prime in one batch.
+    beta_upper. Only when the packing leaves a gap does the subset DP run,
+    and a graph past min(cap, DP_CEILING) vertices is refused first. Every
+    rotation is an automorphism, so some optimal order puts 0 first; its d
+    in-edges go backward and its out-edges forward, so beta = d + beta(G - 0),
+    a DP on p - 1 vertices. This is the batch of one; scan_css audits a whole
+    prime in one batch.
     """
     if exact:
         _check_exact_cap([G.p], cap)
@@ -486,14 +490,19 @@ def _audit(
 ) -> Iterator[BetaReport]:
     """css_check's report of each graph on pm, built once, with girths[i] as its girth."""
     uppers = _upper_bounds(pm, [G.A for G in graphs])
+    limit = min(cap, DP_CEILING)
     for G, (upper, witness_k), girth in zip(graphs, uppers, girths):
         cert = is_triangle_free(G)
         g = gamma(G)
         exact_beta = None
         if exact:
             packing = cycle_packing(G, upper)
-            settled = packing is not None and packing_settles(G, packing, upper)
-            exact_beta = upper if settled else beta_exact(edges(G), cap=cap)
+            if packing is not None and packing_settles(G, packing, upper):
+                exact_beta = upper
+            elif G.p > limit:
+                raise CapExceededError(G.p, limit)
+            else:
+                exact_beta = G.d + beta_exact([(u, v) for u, v in edges(G) if u and v], cap=cap)
         violations: list[str] = []
         if cert.ok:
             if G.d == 2 and G.p >= 7:
@@ -550,19 +559,26 @@ def scan_css(
     Sets are enumerated up to scalar equivalence (A and cA are isomorphic via
     x -> cx). Each prime is one css_check batch with its girths, each row built
     once. The budget counts subsets, the sum over primes of C(p-1, d). With
-    exact, the first prime past the cap is refused before any work.
+    exact, the first prime past the cap is refused before any work. Past
+    min(cap, DP_CEILING) only a packing settles beta, so those primes are
+    audited first, and a packing gap there is refused before any DP runs.
     """
     primes = [p for p in primes_up_to(p_max) if p > 2]
     total = sum(math.comb(p - 1, d) for p in primes)
     if total > budget:
         raise BudgetExceededError(total, budget)
+
+    def audit(p: int) -> list[BetaReport]:
+        pm = PrimeModulus(p)
+        graphs = [CayleyGraph(pm, A) for A in canonical_connection_sets(pm, d)]
+        if not graphs:
+            return []
+        return list(_audit(pm, graphs, _shortest_cycles(pm, [G.A for G in graphs]), exact, cap))
+
+    late = {}
     if exact and d >= 1:
         # each class graph has p vertices, and primes p <= d have no class
         _check_exact_cap([p for p in primes if p > d], cap)
-    rows = []
-    for p in primes:
-        pm = PrimeModulus(p)
-        graphs = [CayleyGraph(pm, A) for A in canonical_connection_sets(pm, d)]
-        if graphs:
-            rows += _audit(pm, graphs, _shortest_cycles(pm, [G.A for G in graphs]), exact, cap)
+        late = {p: audit(p) for p in primes if p > min(cap, DP_CEILING)}
+    rows = [row for p in primes for row in (late[p] if p in late else audit(p))]
     return CssScanReport(p_max=p_max, d=d, exact=exact, rows=tuple(rows))

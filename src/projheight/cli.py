@@ -226,6 +226,9 @@ def cmd_gaps(args: argparse.Namespace) -> OutputRecord:
 
 def cmd_cayley(args: argparse.Namespace) -> OutputRecord:
     graph = CayleyGraph(args.p, _parse_int_list(args.A))
+    if args.girth and graph.d != 2 and graph.p * graph.d > DEFAULT_POINT_BUDGET:
+        # the girth BFS walks d arcs out of each of the p vertices
+        raise BudgetExceededError(graph.p * graph.d, DEFAULT_POINT_BUDGET)
     report = css_check(graph, exact=args.exact, cap=_exact_cap())
     witness = report.triangle_certificate.witness
     if args.girth:

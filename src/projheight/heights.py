@@ -90,7 +90,8 @@ def heights_of(tails: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     heights = np.empty(len(tails), dtype=np.int64)
     argmins = np.empty(len(tails), dtype=np.int64)
     line = np.count_nonzero(tails, axis=1) <= 1
-    heights[line], argmins[line] = _sail_heights(tails[line].sum(axis=1), p)
+    if line.any():
+        heights[line], argmins[line] = _sail_heights(tails[line].sum(axis=1), p)
     if not line.all():
         heights[~line], argmins[~line] = _blocked_heights(tails[~line], p)
     return heights, argmins

@@ -1,5 +1,6 @@
 """Tests for Cayley digraphs, feedback arc sets, and the CSS audit."""
 
+import heapq
 import itertools
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 
 from projheight.cayley import (
     DEFAULT_EXACT_CAP,
+    DP_CEILING,
     BetaReport,
     CapExceededError,
     CayleyGraph,
@@ -87,6 +89,97 @@ def bfs_girth(A, p):
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return 1 + min(dist[(p - a) % p] for a in A)
+
+
+def fraction_cycle_packing(G, target):
+    """cycle_packing by column generation with a simplex in Fractions; the reference.
+
+    The same method as the integer solver, with every tableau entry a
+    Fraction: rows are divided by the pivot, and the duals are -cost[:d].
+    """
+    p, d = G.p, G.d
+    rows = [[Fraction(int(r == k)) for k in range(d)] + [Fraction(1)] for r in range(d)]
+    cost = [Fraction(0)] * d
+    basis = list(range(d))
+    vectors = []
+
+    def add(c):
+        for row in rows:
+            row.insert(-1, sum((ci * row[k] for k, ci in enumerate(c)), Fraction(0)))
+        cost.append(1 + sum(ci * cost[k] for k, ci in enumerate(c)))
+        vectors.append(c)
+
+    def value():
+        return sum((rows[r][-1] for r in range(d) if basis[r] >= d), Fraction(0))
+
+    def solve():
+        while p * value() <= target - 1:
+            j = next((j for j, rc in enumerate(cost) if rc > 0), None)
+            if j is None:
+                return
+            _, _, r = min(
+                (row[-1] / row[j], basis[r], r) for r, row in enumerate(rows) if row[j] > 0
+            )
+            pivot = rows[r][j]
+            rows[r] = [v / pivot for v in rows[r]]
+            for i, row in enumerate(rows):
+                if i != r and row[j]:
+                    rows[i] = [u - row[j] * v for u, v in zip(row, rows[r])]
+            cost[:] = [u - cost[j] * v for u, v in zip(cost, rows[r])]
+            basis[r] = j
+
+    for i in range(d):
+        add(tuple(p if k == i else 0 for k in range(d)))
+    while True:
+        solve()
+        if p * value() > target - 1:
+            held = [(vectors[b - d], row[-1]) for b, row in zip(basis, rows) if b >= d and row[-1]]
+            return CyclePacking(tuple(c for c, _ in held), tuple(y for _, y in held))
+        weight, c = fraction_cheapest_closed_walk(G, [-x for x in cost[:d]])
+        if weight >= 1:
+            return None
+        add(c)
+
+
+def fraction_cheapest_closed_walk(G, x):
+    """The least Fraction weight of a closed walk through 0, by Dijkstra, with its step counts."""
+    p, A = G.p, G.A
+    dist = {0: Fraction(0)}
+    step = {}
+    heap = [(Fraction(0), 0)]
+    best = None
+    while heap:
+        w, v = heapq.heappop(heap)
+        if best is not None and w >= best[0]:
+            break
+        if w > dist[v]:
+            continue
+        for i, a in enumerate(A):
+            u, nw = (v + a) % p, w + x[i]
+            if u == 0:
+                if best is None or nw < best[0]:
+                    best = (nw, v, i)
+            elif u not in dist or nw < dist[u]:
+                dist[u], step[u] = nw, (v, i)
+                heapq.heappush(heap, (nw, u))
+    weight, v, i = best
+    counts = [0] * G.d
+    counts[i] += 1
+    while v:
+        v, i = step[v]
+        counts[i] += 1
+    return weight, tuple(counts)
+
+
+def frozen_classes():
+    """(p, A, beta) of every class in bench/frozen_beta.json."""
+    frozen = json.loads((ROOT / "bench" / "frozen_beta.json").read_text(encoding="utf-8"))
+    return [
+        (int(p), tuple(int(a) for a in key.split(":")), beta)
+        for by_p in frozen.values()
+        for p, by_set in by_p.items()
+        for key, beta in by_set.items()
+    ]
 
 
 def sumset_girth(A, p):
@@ -356,6 +449,17 @@ class TestBetaExact:
     def test_arbitrary_labels(self):
         assert beta_exact([("x", "y"), ("y", "z"), ("z", "x")]) == 1
 
+    def test_vertex_zero_first(self):
+        # some optimal order starts at 0: its d in-edges go backward, so
+        # beta(G) = d + beta(G - 0), the reduction css_check's DP relies on
+        cases = [(p, A) for p, A in SMALL if len(A) <= 3]
+        cases += [(7, (1, 6)), (11, (1, 3, 10)), (13, (1, 5, 8, 12))]
+        cases += [(17, (1, 4, 10)), (17, (1, 8, 10))]
+        for p, A in cases:
+            G = CayleyGraph(p, A)
+            rest = [(u, v) for u, v in edges(G) if u and v]
+            assert G.d + beta_exact(rest) == beta_exact(edges(G)), (p, A)
+
     def test_cap(self):
         path = [(i, i + 1) for i in range(30)]
         with pytest.raises(CapExceededError) as info:
@@ -409,20 +513,25 @@ class TestCyclePacking:
         assert css_check(CayleyGraph(17, (1, 8, 10)), exact=True).beta_exact == 13
 
     def test_settled_classes_agree_with_frozen_values(self):
-        frozen = json.loads((ROOT / "bench" / "frozen_beta.json").read_text(encoding="utf-8"))
         settled = 0
-        for by_p in frozen.values():
-            for p, by_set in by_p.items():
-                for key, beta in by_set.items():
-                    G = CayleyGraph(int(p), [int(a) for a in key.split(":")])
-                    upper = beta_upper(G)[0]
-                    assert beta <= upper, (p, key)
-                    packing = cycle_packing(G, upper)
-                    if packing is not None:
-                        assert packing_settles(G, packing, upper), (p, key)
-                        assert beta == upper, (p, key)
-                        settled += 1
+        for p, A, beta in frozen_classes():
+            G = CayleyGraph(p, A)
+            upper = beta_upper(G)[0]
+            assert beta <= upper, (p, A)
+            packing = cycle_packing(G, upper)
+            if packing is not None:
+                assert packing_settles(G, packing, upper), (p, A)
+                assert beta == upper, (p, A)
+                settled += 1
         assert settled == 157
+
+    def test_integer_simplex_matches_fraction_reference(self):
+        # Bland's rule and Dijkstra's order are invariant under scaling by D > 0
+        cases = PACKING_CLASSES + [(p, A) for p, A, _ in frozen_classes()]
+        for p, A in cases:
+            G = CayleyGraph(p, A)
+            upper = beta_upper(G)[0]
+            assert cycle_packing(G, upper) == fraction_cycle_packing(G, upper), (p, A)
 
     @pytest.mark.parametrize(
         "p,A", [(23, (3, 5)), (13, (1, 5)), (17, (1, 2, 8)), (11, (1, 3, 4, 5))]
@@ -595,6 +704,17 @@ class TestScanCss:
         assert info.value.size == 31 and info.value.cap == 30
         # primes with no d-subset have no graph to refuse
         assert scan_css(7, 7, exact=True, cap=5).rows == ()
+
+    def test_gap_past_dp_ceiling_refused_before_any_dp(self, monkeypatch):
+        def no_dp(*args, **kwargs):
+            raise AssertionError("the subset DP ran before the p = 29 packings were settled")
+
+        monkeypatch.setattr("projheight.cayley.beta_exact", no_dp)
+        with pytest.raises(CapExceededError) as info:
+            scan_css(29, 3, exact=True, cap=29)
+        assert info.value.size == 29 and info.value.cap == DP_CEILING
+        # every d = 2 class up to p = 29 settles by its packing
+        assert scan_css(29, 2, exact=True, cap=29).instances == 59
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError) as info:

@@ -312,6 +312,15 @@ class TestExitCodes:
         code, _, _ = run(["cayley", "-p", "29", "-A", "1,2", "--exact"], capsys)
         assert code == EXIT_OK
 
+    def test_girth_budget_checked_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the girth budget check")
+
+        monkeypatch.setattr("projheight.cli.css_check", no_work)
+        code, out, err = run(["cayley", "-p", "2147483647", "-A", "1,5,7", "--girth"], capsys)
+        assert code == EXIT_LIMIT and out == ""
+        assert err == "error: enumeration needs 6442450941 evaluations, budget is 5000000\n"
+
     def test_exact_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PROJHEIGHT_EXACT_CAP", "10")
         code, _, err = run(["cayley", "-p", "11", "-A", "1,7", "--exact"], capsys)
