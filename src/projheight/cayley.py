@@ -11,6 +11,7 @@ inequality beta <= gamma/2 on triangle-free graphs.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -20,14 +21,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .heights import (
-    DEFAULT_POINT_BUDGET,
-    BudgetExceededError,
-    SumFreeCertificate,
-    heights_of,
-    is_k_sum_free,
-    minimizers_of,
-)
+from .heights import DEFAULT_POINT_BUDGET, BudgetExceededError, heights_of, minimizers_of
 from .modular import (
     PrimeModulus,
     as_modulus,
@@ -90,9 +84,18 @@ def edges(G: CayleyGraph) -> list[tuple[int, int]]:
     return sorted((x, (x + a) % p) for x in range(p) for a in G.A)
 
 
-def is_triangle_free(G: CayleyGraph) -> SumFreeCertificate:
-    """No directed cycle of length 1, 2, or 3; equivalent to A being 3-sum-free."""
-    return is_k_sum_free(G.A, 3, G.modulus)
+def is_triangle_free(G: CayleyGraph) -> tuple[int, ...] | None:
+    """The first zero-sum multiset of 2 or 3 elements of A, or None if G is triangle-free.
+
+    A directed cycle of length 2 or 3 is such a multiset of steps; multisets
+    are tried in size-then-lexicographic order. A holds nonzero residues, so
+    G has no loops.
+    """
+    for size in (2, 3):
+        for combo in itertools.combinations_with_replacement(G.A, size):
+            if sum(combo) % G.p == 0:
+                return combo
+    return None
 
 
 def gamma(G: CayleyGraph) -> int:
@@ -135,8 +138,6 @@ def is_acyclic(edge_list: Iterable[Edge]) -> bool:
 class DeletionSet:
     """Backward edges of the vertex ordering 0, k, 2k, ..., (p-1)k."""
 
-    graph: CayleyGraph
-    k: int
     edges: frozenset[tuple[int, int]]
 
     @property
@@ -161,7 +162,7 @@ def deletion_set(G: CayleyGraph, k: int) -> DeletionSet:
         for i in range(p - r, p):
             x = (k * i) % p
             out.add((x, (x + a) % p))
-    return DeletionSet(G, k, frozenset(out))
+    return DeletionSet(frozenset(out))
 
 
 def beta_upper(G: CayleyGraph) -> tuple[int, int]:
@@ -370,11 +371,8 @@ def beta_exact(edge_list: Iterable[Edge], cap: int = DEFAULT_EXACT_CAP) -> int:
     loops: set[Edge] = set()
     for u, v in edge_list:
         (loops if u == v else simple).add((u, v))
-    seen: dict[Hashable, int] = {}
-    for u, v in sorted(simple) + sorted(loops):
-        for w in (u, v):
-            if w not in seen:
-                seen[w] = len(seen)
+    # labels are numbered as first seen: they need not be comparable
+    seen = {w: i for i, w in enumerate(dict.fromkeys(w for e in (*simple, *loops) for w in e))}
     m = len(seen)
     limit = min(cap, DP_CEILING)
     if m > limit:
@@ -442,14 +440,14 @@ def _shortest_cycles(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[
 class BetaReport:
     """Feedback arc set bounds and CSS assertion outcomes for one graph.
 
-    triangle_certificate is the 3-sum-free check of A, with its witness;
+    triangle_witness is is_triangle_free's zero-sum multiset, None when there is none;
     css_margin is gamma/2 minus the best available beta bound; violations
     lists any failed assertion (expected empty). shortest_cycle is the girth
     when it was measured, as scan_css does; every field is set when it is built.
     """
 
     graph: CayleyGraph
-    triangle_certificate: SumFreeCertificate
+    triangle_witness: tuple[int, ...] | None
     gamma: int
     beta_upper: int
     witness_k: int
@@ -460,7 +458,7 @@ class BetaReport:
 
     @property
     def triangle_free(self) -> bool:
-        return self.triangle_certificate.ok
+        return self.triangle_witness is None
 
 
 def css_check(G: CayleyGraph, exact: bool = False, cap: int = DEFAULT_EXACT_CAP) -> BetaReport:
@@ -492,7 +490,7 @@ def _audit(
     uppers = _upper_bounds(pm, [G.A for G in graphs])
     limit = min(cap, DP_CEILING)
     for G, (upper, witness_k), girth in zip(graphs, uppers, girths):
-        cert = is_triangle_free(G)
+        triangle = is_triangle_free(G)
         g = gamma(G)
         exact_beta = None
         if exact:
@@ -504,7 +502,7 @@ def _audit(
             else:
                 exact_beta = G.d + beta_exact([(u, v) for u, v in edges(G) if u and v], cap=cap)
         violations: list[str] = []
-        if cert.ok:
+        if triangle is None:
             if G.d == 2 and G.p >= 7:
                 if 2 * upper > G.p - 1:
                     violations.append("beta_upper > (p-1)/2")
@@ -514,7 +512,7 @@ def _audit(
                 violations.append("beta_exact > gamma/2")
         yield BetaReport(
             graph=G,
-            triangle_certificate=cert,
+            triangle_witness=triangle,
             gamma=g,
             beta_upper=upper,
             witness_k=witness_k,
@@ -525,60 +523,35 @@ def _audit(
         )
 
 
-@dataclass(frozen=True)
-class CssScanReport:
-    """Aggregated audit over all connection sets up to scalar equivalence."""
-
-    p_max: int
-    d: int
-    exact: bool
-    rows: tuple[BetaReport, ...]
-
-    @property
-    def instances(self) -> int:
-        return len(self.rows)
-
-    @property
-    def triangle_free_count(self) -> int:
-        return sum(1 for r in self.rows if r.triangle_free)
-
-    @property
-    def violation_count(self) -> int:
-        return sum(len(r.violations) for r in self.rows)
-
-
 def scan_css(
     p_max: int,
     d: int,
     exact: bool = False,
     cap: int = DEFAULT_EXACT_CAP,
     budget: int = DEFAULT_POINT_BUDGET,
-) -> CssScanReport:
-    """Audit every size-d connection set on every odd prime p <= p_max.
+) -> tuple[BetaReport, ...]:
+    """One BetaReport per size-d connection set on every odd prime p <= p_max.
 
     Sets are enumerated up to scalar equivalence (A and cA are isomorphic via
     x -> cx). Each prime is one css_check batch with its girths, each row built
     once. The budget counts subsets, the sum over primes of C(p-1, d). With
-    exact, the first prime past the cap is refused before any work. Past
-    min(cap, DP_CEILING) only a packing settles beta, so those primes are
-    audited first, and a packing gap there is refused before any DP runs.
+    exact, the first prime past the cap is refused before any work. Primes are
+    audited from the largest down, so those past min(cap, DP_CEILING), where
+    only a packing settles beta, come first and a packing gap there is refused
+    before any DP runs; the rows are returned in ascending p.
     """
     primes = [p for p in primes_up_to(p_max) if p > 2]
     total = sum(math.comb(p - 1, d) for p in primes)
     if total > budget:
         raise BudgetExceededError(total, budget)
-
-    def audit(p: int) -> list[BetaReport]:
-        pm = PrimeModulus(p)
-        graphs = [CayleyGraph(pm, A) for A in canonical_connection_sets(pm, d)]
-        if not graphs:
-            return []
-        return list(_audit(pm, graphs, _shortest_cycles(pm, [G.A for G in graphs]), exact, cap))
-
-    late = {}
     if exact and d >= 1:
         # each class graph has p vertices, and primes p <= d have no class
         _check_exact_cap([p for p in primes if p > d], cap)
-        late = {p: audit(p) for p in primes if p > min(cap, DP_CEILING)}
-    rows = [row for p in primes for row in (late[p] if p in late else audit(p))]
-    return CssScanReport(p_max=p_max, d=d, exact=exact, rows=tuple(rows))
+    batches = []
+    for p in reversed(primes):
+        pm = PrimeModulus(p)
+        graphs = [CayleyGraph(pm, A) for A in canonical_connection_sets(pm, d)]
+        if graphs:
+            girths = _shortest_cycles(pm, [G.A for G in graphs])
+            batches.append(list(_audit(pm, graphs, girths, exact, cap)))
+    return tuple(row for batch in reversed(batches) for row in batch)

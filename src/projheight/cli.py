@@ -230,10 +230,10 @@ def cmd_cayley(args: argparse.Namespace) -> OutputRecord:
         # the girth BFS walks d arcs out of each of the p vertices
         raise BudgetExceededError(graph.p * graph.d, DEFAULT_POINT_BUDGET)
     report = css_check(graph, exact=args.exact, cap=_exact_cap())
-    witness = report.triangle_certificate.witness
+    witness = report.triangle_witness
     if args.girth:
         report = replace(report, shortest_cycle=shortest_cycle(graph))
-    # the sum-free witness goes after triangle_free, the fourth audit column
+    # the triangle witness goes after triangle_free, the fourth audit column
     cells = _audit_cells(report)
     row = cells[:4] + (_join(witness, ";") if witness else "",) + cells[4:]
     summary: dict[str, object] = {
@@ -260,7 +260,7 @@ def cmd_cayley(args: argparse.Namespace) -> OutputRecord:
 
 
 def cmd_scan(args: argparse.Namespace) -> OutputRecord:
-    report = scan_css(args.pmax, args.d, exact=args.exact, cap=_exact_cap(), budget=args.budget)
+    reports = scan_css(args.pmax, args.d, exact=args.exact, cap=_exact_cap(), budget=args.budget)
     return OutputRecord(
         command="scan",
         parameters={"pmax": args.pmax, "d": args.d, "exact": args.exact},
@@ -268,12 +268,12 @@ def cmd_scan(args: argparse.Namespace) -> OutputRecord:
         rows=tuple(
             # the critical window is p/4 < d < p/3
             _audit_cells(r) + (3 * args.d < r.graph.p < 4 * args.d, ";".join(r.violations))
-            for r in report.rows
+            for r in reports
         ),
         summary={
-            "instances": report.instances,
-            "triangle_free": report.triangle_free_count,
-            "violations": report.violation_count,
+            "instances": len(reports),
+            "triangle_free": sum(r.triangle_free for r in reports),
+            "violations": sum(len(r.violations) for r in reports),
         },
     )
 
@@ -371,8 +371,12 @@ def main(argv: list[str] | None = None) -> int:
     rendered = render(record, args.format)
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         for key in sorted(record.summary):
             print(f"{key}: {cell(record.summary[key])}")
         print(f"report written to {out_path}")

@@ -3,28 +3,19 @@
 The height of a point <a_1, ..., a_d> over F_p is the minimum over
 k = 1..p-1 of the sum of least nonnegative residues of k*a_i. This module
 computes exact heights, applies the closed-form special cases known for the
-projective line, enumerates height spectra, scans rational gap windows, and
-checks connection sets for small zero sums.
+projective line, enumerates height spectra, and scans rational gap windows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
-from .modular import (
-    PrimeModulus,
-    ProjectivePoint,
-    as_modulus,
-    connection_set_residues,
-    d_star,
-)
+from .modular import PrimeModulus, ProjectivePoint, as_modulus, d_star
 
 DEFAULT_POINT_BUDGET = 5_000_000
 
@@ -366,31 +357,3 @@ def gap_scan(
     return GapScanReport(
         p=pm.p, r=r, c=c, lower=lower, upper=upper, empty=not inside, inside=inside
     )
-
-
-@dataclass(frozen=True)
-class SumFreeCertificate:
-    """Result of checking that no small multiset of A sums to 0 mod p.
-
-    ok is true iff no multiset of size 1..k (repetition allowed) from A sums
-    to 0; otherwise witness is the first such multiset in size-then-lex order.
-    """
-
-    elements: tuple[int, ...]
-    k: int
-    p: int
-    ok: bool
-    witness: tuple[int, ...] | None
-
-
-def is_k_sum_free(A: Iterable[int], k: int, p: int | PrimeModulus) -> SumFreeCertificate:
-    """Check all multisets of size 1..k from A for a zero sum modulo p."""
-    pm = as_modulus(p)
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    elems = connection_set_residues(A, pm)
-    for size in range(1, k + 1):
-        for combo in itertools.combinations_with_replacement(elems, size):
-            if sum(combo) % pm.p == 0:
-                return SumFreeCertificate(elems, k, pm.p, False, combo)
-    return SumFreeCertificate(elems, k, pm.p, True, None)

@@ -230,21 +230,37 @@ class TestEdges:
 
 class TestTriangleFree:
     def test_examples(self):
-        assert is_triangle_free(CayleyGraph(7, [1, 2])).ok
-        cert = is_triangle_free(CayleyGraph(7, [1, 6]))
-        assert not cert.ok and cert.witness == (1, 6)
-        assert not is_triangle_free(CayleyGraph(5, [1, 2])).ok
+        assert is_triangle_free(CayleyGraph(7, [1, 2])) is None
+        assert is_triangle_free(CayleyGraph(7, [1, 6])) == (1, 6)
+        assert is_triangle_free(CayleyGraph(5, [1, 2])) == (1, 2, 2)
+        assert is_triangle_free(CayleyGraph(7, [1, 3])) == (1, 3, 3)
+        assert is_triangle_free(CayleyGraph(11, [1, 5])) == (1, 5, 5)
 
     def test_agrees_with_girth(self):
-        # dual route: arithmetic certificate vs breadth-first search
+        # dual route: arithmetic witness vs breadth-first search
         for p, A in SMALL:
             G = CayleyGraph(p, A)
-            cert = is_triangle_free(G)
-            assert cert.ok == (shortest_cycle(G) > 3), (p, A)
-            if not cert.ok:
-                assert 1 <= len(cert.witness) <= 3
-                assert all(a in G.A for a in cert.witness)
-                assert sum(cert.witness) % p == 0
+            witness = is_triangle_free(G)
+            assert (witness is None) == (shortest_cycle(G) > 3), (p, A)
+            if witness is not None:
+                assert 2 <= len(witness) <= 3
+                assert all(a in G.A for a in witness)
+                assert sum(witness) % p == 0
+
+    def test_matches_exhaustive_definition(self):
+        # the witness is the first zero-sum multiset of size 1..3 in size-then-lex order
+        rng = random.Random(7)
+        for _ in range(50):
+            p = rng.choice((5, 7, 11, 13))
+            d = rng.randint(1, min(4, p - 1))
+            A = tuple(sorted(rng.sample(range(1, p), d)))
+            witnesses = [
+                combo
+                for size in range(1, 4)
+                for combo in itertools.combinations_with_replacement(A, size)
+                if sum(combo) % p == 0
+            ]
+            assert is_triangle_free(CayleyGraph(p, A)) == (witnesses[0] if witnesses else None)
 
 
 class TestGamma:
@@ -448,6 +464,12 @@ class TestBetaExact:
 
     def test_arbitrary_labels(self):
         assert beta_exact([("x", "y"), ("y", "z"), ("z", "x")]) == 1
+
+    def test_labels_need_not_be_comparable(self):
+        assert beta_exact([(0, "a"), ("a", 0)]) == 1
+        # a 2-cycle and a triangle share the arc 0 -> "a"; the loop adds one
+        es = [(0, "a"), ("a", 0), ("a", (1, 2)), ((1, 2), 0), (None, None), (None, 0)]
+        assert beta_exact(es) == 2
 
     def test_vertex_zero_first(self):
         # some optimal order starts at 0: its d in-edges go backward, so
@@ -653,17 +675,17 @@ class TestCssCheck:
 
 class TestScanCss:
     def test_small_scan(self):
-        rep = scan_css(7, 2)
-        assert rep.instances == 6
-        assert rep.triangle_free_count == 1
-        assert rep.violation_count == 0
-        assert [r.graph.p for r in rep.rows] == sorted(r.graph.p for r in rep.rows)
+        rows = scan_css(7, 2)
+        assert len(rows) == 6
+        assert sum(r.triangle_free for r in rows) == 1
+        assert all(r.violations == () for r in rows)
+        assert [r.graph.p for r in rows] == sorted(r.graph.p for r in rows)
 
     def test_rows_consistent(self):
-        rep = scan_css(11, 2, exact=True)
-        assert rep.instances == 11
-        assert rep.violation_count == 0
-        for row in rep.rows:
+        rows = scan_css(11, 2, exact=True)
+        assert len(rows) == 11
+        for row in rows:
+            assert row.violations == ()
             G = row.graph
             assert row.triangle_free == (row.shortest_cycle > 3)
             assert (row.beta_upper, row.witness_k) == beta_upper(G)
@@ -674,7 +696,7 @@ class TestScanCss:
     def test_batched_bounds_match_single_graph(self):
         # d = 1 leaves empty tails; d = p - 1 ties every multiplier
         for d in (1, 3, 4, 6, 12):
-            for row in scan_css(13, d).rows:
+            for row in scan_css(13, d):
                 assert (row.beta_upper, row.witness_k) == beta_upper(row.graph)
                 assert (row.beta_upper, row.witness_k) == brute_upper(row.graph.A, row.graph.p)
 
@@ -683,13 +705,12 @@ class TestScanCss:
         cases = [(13, d, False) for d in (1, 3, 4, 6, 12)]
         cases += [(19, 2, True), (17, 3, True), (23, 4, False)]
         for p_max, d, exact in cases:
-            for row in scan_css(p_max, d, exact=exact).rows:
+            for row in scan_css(p_max, d, exact=exact):
                 G = row.graph
                 assert row == replace(css_check(G, exact), shortest_cycle=shortest_cycle(G))
 
     def test_empty_range(self):
-        rep = scan_css(2, 2)
-        assert rep.instances == 0 and rep.rows == ()
+        assert scan_css(2, 2) == ()
 
     def test_exact_cap_checked_before_any_work(self, monkeypatch):
         def no_dp(*args, **kwargs):
@@ -703,7 +724,7 @@ class TestScanCss:
             scan_css(31, 2, exact=True, cap=100)
         assert info.value.size == 31 and info.value.cap == 30
         # primes with no d-subset have no graph to refuse
-        assert scan_css(7, 7, exact=True, cap=5).rows == ()
+        assert scan_css(7, 7, exact=True, cap=5) == ()
 
     def test_gap_past_dp_ceiling_refused_before_any_dp(self, monkeypatch):
         def no_dp(*args, **kwargs):
@@ -714,7 +735,7 @@ class TestScanCss:
             scan_css(29, 3, exact=True, cap=29)
         assert info.value.size == 29 and info.value.cap == DP_CEILING
         # every d = 2 class up to p = 29 settles by its packing
-        assert scan_css(29, 2, exact=True, cap=29).instances == 59
+        assert len(scan_css(29, 2, exact=True, cap=29)) == 59
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError) as info:

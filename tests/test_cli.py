@@ -17,9 +17,7 @@ from projheight.cayley import (
     BetaReport,
     CapExceededError,
     CayleyGraph,
-    CssScanReport,
     css_check,
-    is_triangle_free,
 )
 from projheight.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
 from projheight.heights import line_fast_path
@@ -202,14 +200,14 @@ class TestCayleyCommand:
         assert dict(zip(header, rows[0]))["shortest_cycle"] == "429496731"
 
     def test_sum_free_checked_once(self, capsys, monkeypatch):
-        real = cayley.is_k_sum_free
+        real = cayley.is_triangle_free
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr("projheight.cayley.is_k_sum_free", counting)
+        monkeypatch.setattr("projheight.cayley.is_triangle_free", counting)
         code, _, _ = run(["cayley", "-p", "11", "-A", "1,7"], capsys)
         assert code == EXIT_OK
         assert len(calls) == 1
@@ -235,6 +233,13 @@ class TestScanCommand:
         assert code2 == EXIT_OK
         assert target.read_text(encoding="utf-8") == direct
 
+    def test_out_path_missing_exits_input(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(["scan", "--pmax", "7", "-d", "2", "--out", str(target)], capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("error: ") and str(target) in err
+        assert not target.exists()
+
     def test_critical_window(self, capsys):
         code, out, _ = run(["scan", "--pmax", "7", "-d", "2", "--format", "csv"], capsys)
         assert code == EXIT_OK
@@ -251,12 +256,11 @@ class TestScanCommand:
     def test_violation_exit_code(self, capsys, monkeypatch):
         row = BetaReport(
             graph=CayleyGraph(7, (1, 2)),
-            triangle_certificate=is_triangle_free(CayleyGraph(7, (1, 2))), gamma=7, beta_upper=4,
+            triangle_witness=None, gamma=7, beta_upper=4,
             witness_k=1, beta_exact=None, css_margin=Fraction(-1, 2),
             violations=("beta_upper > (p-1)/2",), shortest_cycle=4,
         )
-        fake = CssScanReport(p_max=7, d=2, exact=False, rows=(row,))
-        monkeypatch.setattr("projheight.cli.scan_css", lambda *a, **k: fake)
+        monkeypatch.setattr("projheight.cli.scan_css", lambda *a, **k: (row,))
         code, out, _ = run(["scan", "--pmax", "7", "-d", "2", "--format", "csv"], capsys)
         assert code == EXIT_VIOLATION
         assert "beta_upper > (p-1)/2" in out

@@ -19,6 +19,7 @@ COMMANDS = {
     "spectrum": ["spectrum", "-p", "7", "-d", "3", "--check-bounds"],
     "gaps": ["gaps", "--pmax", "13", "--c", "1/2"],
     "cayley": ["cayley", "-p", "11", "-A", "1,7", "--exact", "--css", "--girth"],
+    "cayley_witness": ["cayley", "-p", "7", "-A", "1,3", "--css"],
     "scan": ["scan", "--pmax", "7", "-d", "2", "--exact"],
     "table_empty": ["table", "--pmin", "3", "--pmax", "3"],
     "gaps_empty": ["gaps", "--pmin", "4", "--pmax", "4"],

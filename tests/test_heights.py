@@ -14,7 +14,6 @@ from projheight.heights import (
     gap_scan,
     height,
     height_upper_bound,
-    is_k_sum_free,
     line_bound_certificates,
     line_fast_path,
     line_height_fast,
@@ -382,40 +381,3 @@ def test_gap_scan_matches_rational_comparisons():
                 lo, hi = Fraction(p, r + 1) + c, Fraction(p, r) - c
                 want = tuple(sorted(v for v in values if lo < v < hi))
                 assert gap_scan(p, r, c).inside == want, (p, r, c)
-
-
-def test_is_k_sum_free():
-    assert is_k_sum_free((1, 2), 3, 7).ok
-    cert = is_k_sum_free((1, 6), 2, 7)
-    assert not cert.ok and cert.witness == (1, 6)
-    cert = is_k_sum_free((1, 3), 3, 7)
-    assert not cert.ok and cert.witness == (1, 3, 3)
-    cert = is_k_sum_free((1, 5), 3, 11)
-    assert not cert.ok and cert.witness == (1, 5, 5)
-    with pytest.raises(ValueError):
-        is_k_sum_free((0, 1), 3, 7)
-    with pytest.raises(ValueError):
-        is_k_sum_free((1, 8), 3, 7)
-    with pytest.raises(ValueError):
-        is_k_sum_free((1, 2), 0, 7)
-
-
-def test_is_k_sum_free_matches_exhaustive_definition():
-    import itertools
-
-    rng = random.Random(7)
-    for _ in range(50):
-        p = rng.choice((5, 7, 11, 13))
-        d = rng.randint(1, min(4, p - 1))
-        A = tuple(sorted(rng.sample(range(1, p), d)))
-        k = rng.randint(1, 4)
-        witnesses = [
-            combo
-            for size in range(1, k + 1)
-            for combo in itertools.combinations_with_replacement(A, size)
-            if sum(combo) % p == 0
-        ]
-        cert = is_k_sum_free(A, k, p)
-        assert cert.ok == (not witnesses)
-        if witnesses:
-            assert cert.witness == witnesses[0]

@@ -1,6 +1,7 @@
-"""Modules of the package import no private name from one another, use every
-name they import, and every name the package exports is defined in its own
-sources and used by them or by the acceptance tests."""
+"""Modules of the package import only from the layers below them and no
+private name from one another, use every name they import, and every name the
+package exports is defined in its own sources and used by them or by the
+acceptance tests."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,44 @@ SOURCES = sorted(Path(projheight.__file__).parent.glob("*.py"))
 
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"cayley.py", "cli.py", "heights.py", "modular.py"}
+
+
+# each module and the package modules it may import: modular <- heights <-
+# cayley <- cli, and report, which cli renders with, imports none
+LAYERS = {
+    "modular": set(),
+    "report": set(),
+    "heights": {"modular"},
+    "cayley": {"modular", "heights"},
+    "cli": {"modular", "heights", "cayley", "report"},
+    "__main__": {"cli"},
+    "__init__": {"modular", "heights", "cayley"},
+}
+
+
+def _package_imports(node):
+    """The package modules an import node names, relative or absolute."""
+    if isinstance(node, ast.ImportFrom) and node.level > 0:
+        return [node.module] if node.module else [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module]
+    elif isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    else:
+        return []
+    return [(n.split(".") + ["__init__"])[1] for n in names if n.split(".")[0] == "projheight"]
+
+
+def test_imports_follow_the_layers():
+    assert {p.stem for p in SOURCES} == set(LAYERS)
+    upward = [
+        f"{path.name}:{node.lineno} imports {target}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for target in _package_imports(node)
+        if target not in LAYERS[path.stem]
+    ]
+    assert upward == []
 
 
 def test_no_private_names_across_modules():
