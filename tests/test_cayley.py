@@ -233,8 +233,6 @@ class TestTriangleFree:
         assert is_triangle_free(CayleyGraph(7, [1, 2])) is None
         assert is_triangle_free(CayleyGraph(7, [1, 6])) == (1, 6)
         assert is_triangle_free(CayleyGraph(5, [1, 2])) == (1, 2, 2)
-        assert is_triangle_free(CayleyGraph(7, [1, 3])) == (1, 3, 3)
-        assert is_triangle_free(CayleyGraph(11, [1, 5])) == (1, 5, 5)
 
     def test_agrees_with_girth(self):
         # dual route: arithmetic witness vs breadth-first search

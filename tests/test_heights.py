@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from projheight import heights
+from projheight.cayley import CayleyGraph, is_triangle_free
 from projheight.heights import (
     BudgetExceededError,
     gap_scan,
@@ -381,3 +382,16 @@ def test_gap_scan_matches_rational_comparisons():
                 lo, hi = Fraction(p, r + 1) + c, Fraction(p, r) - c
                 want = tuple(sorted(v for v in values if lo < v < hi))
                 assert gap_scan(p, r, c).inside == want, (p, r, c)
+
+
+def test_is_k_sum_free():
+    # The 3-sum-free test of a connection set is cayley.is_triangle_free: it
+    # returns the first zero-sum multiset of 2 or 3 elements, or None.
+    assert is_triangle_free(CayleyGraph(7, (1, 2))) is None
+    assert is_triangle_free(CayleyGraph(7, (1, 6))) == (1, 6)
+    assert is_triangle_free(CayleyGraph(7, (1, 3))) == (1, 3, 3)
+    assert is_triangle_free(CayleyGraph(11, (1, 5))) == (1, 5, 5)
+    with pytest.raises(ValueError):
+        CayleyGraph(7, (0, 1))
+    with pytest.raises(ValueError):
+        CayleyGraph(7, (1, 8))
