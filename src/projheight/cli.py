@@ -7,6 +7,7 @@ violation. Output is deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -77,6 +78,30 @@ def _parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening path for writing would raise, without creating it."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _exact_cap() -> int:
     raw = os.environ.get("PROJHEIGHT_EXACT_CAP")
     if raw is None:
@@ -114,6 +139,13 @@ def _audit_cells(report: BetaReport) -> tuple:
 def cmd_height(args: argparse.Namespace) -> OutputRecord:
     coords = _parse_int_list(args.a)
     point = canonicalize(coords, args.p)
+    nonzeros = d_star(point)
+    if nonzeros > 2:
+        # the blocked scan reads nonzeros - 1 tails for each multiplier k < p; a
+        # line point walks the sail in O(log p) and counts as no cells
+        cells = (nonzeros - 1) * (point.p - 1)
+        if cells > args.budget:
+            raise BudgetExceededError(cells, args.budget)
     if point.d == 2 and point.coords[0] == 1 and point.coords[1] != 0:
         record = line_height_fast(point.coords[1], point.modulus)
         certs = dict(line_bound_certificates(point.coords[1], point.modulus))
@@ -123,7 +155,7 @@ def cmd_height(args: argparse.Namespace) -> OutputRecord:
     row = {
         "p": point.p,
         "point": _join(point.coords),
-        "d_star": d_star(point),
+        "d_star": nonzeros,
         "height": record.height,
         "argmin_k": record.argmin_k,
         "method": record.method,
@@ -291,6 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_height = sub.add_parser("height", help="height of one projective point")
     p_height.add_argument("-p", type=int, required=True, help="prime modulus")
     p_height.add_argument("-a", required=True, help="comma-separated coordinates")
+    p_height.add_argument(
+        "--budget",
+        type=_positive_int,
+        default=DEFAULT_POINT_BUDGET,
+        help="scan budget in cells: (nonzeros - 1) * (p - 1), 0 for line points",
+    )
     add_format(p_height)
     p_height.set_defaults(func=cmd_height)
 
@@ -312,7 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-bounds", action="store_true", help="compare the maximum to its closed-form window"
     )
     p_spectrum.add_argument(
-        "--budget", type=int, default=DEFAULT_POINT_BUDGET, help="point enumeration budget"
+        "--budget",
+        type=_positive_int,
+        default=DEFAULT_POINT_BUDGET,
+        help="point enumeration budget",
     )
     add_format(p_spectrum)
     p_spectrum.set_defaults(func=cmd_spectrum)
@@ -342,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--exact", action="store_true", help="compute exact beta per instance")
     p_scan.add_argument(
         "--budget",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_POINT_BUDGET,
         help="enumeration budget in subsets: the sum over primes p of C(p-1, d)",
     )
@@ -360,16 +401,18 @@ _parser = functools.cache(build_parser)
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    out_path = getattr(args, "out", None)
     try:
+        if out_path:
+            _check_writable(out_path)
         record = args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (BudgetExceededError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     rendered = render(record, args.format)
-    out_path = getattr(args, "out", None)
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ projective line, enumerates height spectra, and scans rational gap windows.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,26 +122,26 @@ def _sail_heights(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 def _blocked_heights(tails: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """heights_of by scanning multipliers, for rows of any number of nonzeros.
 
-    Sums are formed in blocks of at most _BLOCK_CELLS (point, k) cells; k-blocks
-    start at 1024 and double. The k-th sum of <1, t> is at least k + (nonzeros
-    of t), so a group of rows stops once that bound reaches every row's best.
+    One k-loop runs over all rows. Each block forms the sums of the live rows
+    for at most _BLOCK_CELLS (point, k) cells; block widths start at 1024 and
+    double. The k-th sum of <1, t> is at least k + (nonzeros of t), so after
+    each block a row stays live only while that bound is below its best.
     Only a strictly smaller sum replaces the best, so ties keep the least k.
     """
     heights = np.full(len(tails), p * (tails.shape[1] + 1), dtype=np.int64)
     argmins = np.ones(len(tails), dtype=np.int64)
-    first = min(1024, p - 1)
-    group = max(1, _BLOCK_CELLS // first)
-    for lo in range(0, len(tails), group):
-        rows, best, best_k = (x[lo : lo + group] for x in (tails, heights, argmins))
-        floor, k, width = np.count_nonzero(rows, axis=1), 1, first
-        while k < p and (k + floor < best).any():
-            width = max(1, min(width, _BLOCK_CELLS // len(rows), p - k))
-            sums = _residue_sums(rows, np.arange(k, k + width, dtype=np.int64), p)
-            arg = sums.argmin(axis=1)
-            low = sums[np.arange(len(rows)), arg]
-            better = low < best
-            best[better], best_k[better] = low[better], k + arg[better]
-            k, width = k + width, 2 * width
+    floor = np.count_nonzero(tails, axis=1)
+    live = np.arange(len(tails))
+    k, width = 1, min(1024, p - 1)
+    while k < p and len(live):
+        width = max(1, min(width, _BLOCK_CELLS // len(live), p - k))
+        sums = _residue_sums(tails[live], np.arange(k, k + width, dtype=np.int64), p)
+        arg = sums.argmin(axis=1)
+        low = sums[np.arange(len(live)), arg]
+        better = low < heights[live]
+        heights[live[better]], argmins[live[better]] = low[better], k + arg[better]
+        k, width = k + width, 2 * width
+        live = live[k + floor[live] < heights[live]]
     return heights, argmins
 
 
@@ -287,19 +288,91 @@ class SpectrumBoundsReport:
     ok: bool
 
 
+def _sorted_tails(p: int, m: int) -> np.ndarray:
+    """Every nondecreasing tail 1 <= t_1 <= ... <= t_m <= p-1, one row each, in order."""
+    rows = itertools.combinations_with_replacement(range(1, p), m)
+    n = math.comb(p - 2 + m, m)
+    return np.fromiter(itertools.chain.from_iterable(rows), np.int64, n * m).reshape(n, m)
+
+
+def _arrangements(rows: np.ndarray) -> np.ndarray:
+    """m!/prod(mult!) for each sorted row of length m: its distinct orderings.
+
+    Adding the i-th entry (0-based) to a run of length r multiplies the count by
+    (i + 1)/r; every prefix count is a multinomial, so each division is exact.
+    """
+    count = np.ones(len(rows), dtype=np.int64)
+    run = np.ones(len(rows), dtype=np.int64)
+    for i in range(1, rows.shape[1]):
+        run = np.where(rows[:, i] == rows[:, i - 1], run + 1, 1)
+        count = count * (i + 1) // run
+    return count
+
+
+def _codes(rows: np.ndarray, p: int) -> np.ndarray:
+    """Sorted tails over 1..p-1 read as base-(p-1) numbers, which orders them lexicographically."""
+    codes = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T:
+        codes = codes * (p - 1) + col - 1
+    return codes
+
+
+def _orbits(p: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """One tail t per S_j orbit of the full-support points <1, t> of P^(j-1)(F_p), and orbit sizes.
+
+    Only sorted tails are generated. Leading with the coordinate x_l turns
+    X = (1, t) into X/x_l, whose sorted tail (one 1 dropped) is the code for l.
+    A row represents its orbit when its own code, l = 0, is the least of the j
+    codes; a row loses as soon as one code is smaller. The points <1, t'> of
+    the orbit are the orderings t' of its distinct codes, so the orbit size
+    sums _arrangements over them. No array has more than j columns.
+    """
+    tails = _sorted_tails(p, j - 1)
+    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+    codes, sizes = [_codes(tails, p)], [_arrangements(tails)]
+    for lead in range(j - 1):
+        inv = inverse[tails[:, lead]]  # the leading 1 of X becomes 1/t_lead
+        scaled = np.column_stack([inv, np.delete(tails, lead, axis=1) * inv[:, None] % p])
+        scaled.sort(axis=1)
+        code = _codes(scaled, p)
+        keep = code >= codes[0]
+        tails, scaled = tails[keep], scaled[keep]
+        codes = [c[keep] for c in codes] + [code[keep]]
+        sizes = [s[keep] for s in sizes] + [_arrangements(scaled)]
+    codes, sizes = np.column_stack(codes), np.column_stack(sizes)
+    order = codes.argsort(axis=1)
+    codes, sizes = np.take_along_axis(codes, order, 1), np.take_along_axis(sizes, order, 1)
+    sizes[:, 1:] *= codes[:, 1:] != codes[:, :-1]  # count each distinct code once
+    return tails, sizes.sum(axis=1)
+
+
 def spectrum(p: int | PrimeModulus, d: int, budget: int = DEFAULT_POINT_BUDGET) -> HeightSpectrum:
-    """Enumerate every canonical point of P^(d-1)(F_p) and aggregate heights."""
+    """Heights of every point of P^(d-1)(F_p), with their multiplicities.
+
+    A point with j nonzero coordinates has the height of its nonzero part, so
+    the tally is the sum over j = 1..d of C(d, j) T_j, where T_j tallies the
+    (p-1)^(j-1) full-support points <1, t> of P^(j-1). T_1 is one point of
+    height 1, and T_2 comes from the cached line_height_table. For j >= 3 a
+    permutation of the coordinates keeps the height, so heights_of evaluates
+    one point per S_j orbit (_orbits), weighted by the orbit size. The budget
+    counts all (p^d - 1)/(p - 1) points.
+    """
     p = _odd_modulus(p).p
     if d < 2:
         raise ValueError("spectra are defined for d >= 2")
     n_points = (p**d - 1) // (p - 1)
     if n_points > budget:
         raise BudgetExceededError(n_points, budget)
+    if n_points * d >= 2**63:
+        raise ValueError("spectrum counts would overflow int64")
     tally = np.zeros(d * p, dtype=np.int64)  # every height is below d*p
-    for nfree in range(d):
-        # the points <0, ..., 0, 1, t> with nfree free coordinates t
-        tails = np.indices((p,) * nfree, dtype=np.int64).reshape(nfree, p**nfree).T
-        tally += np.bincount(heights_of(tails, p)[0], minlength=d * p)
+    tally[1] = d  # T_1
+    tally[: p + 1] += math.comb(d, 2) * np.bincount(line_height_table(p)[0], minlength=p + 1)
+    for j in range(3, d + 1):
+        tails, sizes = _orbits(p, j)
+        t_j = np.zeros(d * p, dtype=np.int64)
+        np.add.at(t_j, heights_of(tails, p)[0], sizes)
+        tally += math.comb(d, j) * t_j
     values = tuple(np.flatnonzero(tally).tolist())
     gaps = tuple(
         (lo, hi) for lo, hi in zip(values, values[1:]) if hi > lo + 1

@@ -240,6 +240,28 @@ class TestScanCommand:
         assert err.startswith("error: ") and str(target) in err
         assert not target.exists()
 
+    def test_out_path_checked_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("scan ran before the --out check")
+
+        monkeypatch.setattr("projheight.cli.scan_css", no_work)
+        argv = ["scan", "--pmax", "23", "-d", "3", "--exact", "--out"]
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(argv + [str(target)], capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+        assert not target.parent.exists()
+        code, out, err = run(argv + [str(tmp_path)], capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_refused_scan_leaves_no_file(self, tmp_path, capsys):
+        target = tmp_path / "x.csv"
+        argv = ["scan", "--pmax", "23", "-d", "3", "--budget", "10", "--out", str(target)]
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_LIMIT and out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_critical_window(self, capsys):
         code, out, _ = run(["scan", "--pmax", "7", "-d", "2", "--format", "csv"], capsys)
         assert code == EXIT_OK
@@ -324,6 +346,47 @@ class TestExitCodes:
         code, out, err = run(["cayley", "-p", "2147483647", "-A", "1,5,7", "--girth"], capsys)
         assert code == EXIT_LIMIT and out == ""
         assert err == "error: enumeration needs 6442450941 evaluations, budget is 5000000\n"
+
+    def test_height_budget_checked_before_any_work(self, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the height budget check")
+
+        monkeypatch.setattr("projheight.cli.height", no_work)
+        monkeypatch.setattr("projheight.cli.line_height_fast", no_work)
+        code, out, err = run(["height", "-p", "100000007", "-a", "1,1,100000006"], capsys)
+        assert code == EXIT_LIMIT and out == ""
+        # 2 nonzero tails for each k < p
+        assert err == "error: enumeration needs 200000012 evaluations, budget is 5000000\n"
+        code, _, err = run(["height", "-p", "101", "-a", "0,1,2,3", "--budget", "199"], capsys)
+        assert code == EXIT_LIMIT and "needs 200 evaluations" in err
+
+    def test_height_budget_edges(self, capsys):
+        code, out, _ = run(["height", "-p", "101", "-a", "1,2,3", "--budget", "200"], capsys)
+        assert code == EXIT_OK and "height: " in out
+        # line points walk the sail and cost no cells
+        for a in ("1,5", "0,3,0,7", "0,0,9"):
+            code, _, _ = run(["height", "-p", "2147483647", "-a", a, "--budget", "1"], capsys)
+            assert code == EXIT_OK, a
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "-p", "7", "-d", "3"],
+            ["scan", "--pmax", "7", "-d", "2"],
+            ["height", "-p", "7", "-a", "1,2,3"],
+        ],
+    )
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_nonpositive_budget_is_usage_error(self, argv, budget, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done with a nonpositive budget")
+
+        for name in ("spectrum", "scan_css", "height"):
+            monkeypatch.setattr(f"projheight.cli.{name}", no_work)
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--budget", budget])
+        assert info.value.code == EXIT_INPUT
+        assert f"argument --budget: must be positive, got {budget}" in capsys.readouterr().err
 
     def test_exact_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PROJHEIGHT_EXACT_CAP", "10")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -36,6 +37,28 @@ def brute_record(coords, p):
     sums = [sum((k * c) % p for c in coords) for k in range(1, p)]
     h = min(sums)
     return h, sums.index(h) + 1
+
+
+def brute_spectrum(p, d):
+    """{height: count} over every canonical point <0, ..., 0, 1, t>, by the defining minimum in numpy."""
+    ks = np.arange(1, p)
+    counts = np.zeros(d * p, dtype=np.int64)
+    for lead in range(d):
+        m = d - 1 - lead
+        rest = np.array(list(itertools.product(range(p), repeat=m)), dtype=np.int64).reshape(p**m, m)
+        for chunk in np.array_split(rest, -(-len(rest) * p * max(m, 1) // 2**21)):
+            sums = ks + (chunk[:, :, None] * ks % p).sum(axis=1)
+            counts += np.bincount(sums.min(axis=1), minlength=d * p)
+    return {v: int(c) for v, c in enumerate(counts.tolist()) if c}
+
+
+def brute_orbit(point, p):
+    """The S_j orbit of a projective point: every permutation, normalized to lead with 1."""
+    orbit = set()
+    for perm in itertools.permutations(point):
+        inv = pow(perm[0], -1, p)
+        orbit.add(tuple(c * inv % p for c in perm))
+    return frozenset(orbit)
 
 
 def pruned_line_record(a, p):
@@ -168,8 +191,6 @@ class TestKernelBlockEdges:
             assert got == [brute_record((1, a), p) for a in range(1, p)], p
 
     def test_spectra(self, cells):
-        import itertools
-
         for p in (3, 5, 7, 11, 13):
             for d in (2, 3, 4):
                 counts: dict[int, int] = {}
@@ -178,6 +199,36 @@ class TestKernelBlockEdges:
                         h = brute_height((0,) * lead + (1,) + rest, p)
                         counts[h] = counts.get(h, 0) + 1
                 assert spectrum(p, d).count_per_value == counts, (p, d)
+
+    def test_rows_retire_at_different_k(self, cells, monkeypatch):
+        p = 13
+        # 0 to 3 nonzeros per row, heights from 1 to 2p; a row of equal nonzero
+        # tails t reaches the bound k + nonzeros at k = 1/t, so it retires only
+        # when that bound meets its best
+        tails = np.array(
+            [t for t in itertools.product(range(p), repeat=3) if sum(t) % 5 == 0]
+            + [(a, a, a) for a in range(1, p)] + [(a, a, 0) for a in range(1, p)],
+            dtype=np.int64,
+        )
+        live = []
+        residue_sums = heights._residue_sums
+
+        def spy(rows, ks, q):
+            live.append(len(rows))
+            return residue_sums(rows, ks, q)
+
+        monkeypatch.setattr(heights, "_residue_sums", spy)
+        hts, ams = heights._blocked_heights(tails, p)
+        want = [brute_record((1, *t), p) for t in tails.tolist()]
+        assert list(zip(hts.tolist(), ams.tolist())) == want
+        # the live rows shrink block by block, and rows with tied minimizers keep the least k
+        assert live[0] == len(tails) and live == sorted(live, reverse=True) and live[-1] < live[0]
+        assert len(set(live)) > 3
+        ties = [
+            t for t, (h, _) in zip(tails.tolist(), want)
+            if sum(k + sum(k * c % p for c in t) == h for k in range(1, p)) > 1
+        ]
+        assert len(ties) > 10
 
     def test_leading_zeros_and_d1(self, cells):
         for p in (3, 7, 13, 31):
@@ -318,8 +369,6 @@ def test_spectrum_count_matches_point_count():
 
 
 def test_spectrum_d3_matches_pointwise_heights():
-    import itertools
-
     p, d = 7, 3
     counts: dict[int, int] = {}
     for lead in range(d):
@@ -330,7 +379,49 @@ def test_spectrum_d3_matches_pointwise_heights():
     assert spectrum(p, d).count_per_value == counts
 
 
-def test_spectrum_budget():
+@pytest.mark.parametrize("p,j", [(3, 3), (3, 6), (5, 3), (5, 4), (5, 5), (7, 3), (7, 4), (13, 3)])
+def test_orbits_one_representative_per_orbit(p, j):
+    tails, sizes = heights._orbits(p, j)
+    assert int(sizes.sum()) == (p - 1) ** (j - 1)
+    orbits = {brute_orbit((1, *t), p) for t in itertools.product(range(1, p), repeat=j - 1)}
+    got = [brute_orbit((1, *t), p) for t in tails.tolist()]
+    assert set(got) == orbits and len(got) == len(orbits)
+    assert [len(o) for o in got] == sizes.tolist()
+
+
+@pytest.mark.parametrize("p", [31, 199])
+def test_orbit_sizes_sum_to_full_support_points(p):
+    for j in (3, 4) if p == 31 else (3,):
+        assert int(heights._orbits(p, j)[1].sum()) == (p - 1) ** (j - 1)
+
+
+def test_spectrum_matches_brute_tally():
+    for p in (3, 5, 7, 11, 13):
+        for d in range(2, 7):
+            if (p**d - 1) // (p - 1) <= 40_000:
+                assert spectrum(p, d).count_per_value == brute_spectrum(p, d), (p, d)
+
+
+@pytest.mark.parametrize("p,d", [(199, 3), (31, 4)])
+def test_benchmark_spectra_match_brute_tally(p, d):
+    assert spectrum(p, d).count_per_value == brute_spectrum(p, d)
+
+
+def test_spectrum_large_d_counts_every_point():
+    # 36 sorted tails stand for the 2^35 full-support points of P^35(F_3)
+    sp = spectrum(3, 36, budget=10**18)
+    assert sum(sp.count_per_value.values()) == (3**36 - 1) // 2
+    assert sp.bounds_check().ok
+    with pytest.raises(ValueError, match="overflow"):
+        spectrum(3, 41, budget=10**30)
+
+
+def test_spectrum_budget(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the budget check")
+
+    for name in ("_orbits", "heights_of", "line_height_table"):
+        monkeypatch.setattr(heights, name, no_work)
     with pytest.raises(BudgetExceededError) as info:
         spectrum(5, 3, budget=10)
     assert info.value.required == 31
