@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -406,7 +405,7 @@ def shortest_cycle(G: CayleyGraph) -> int:
     c_1 = c_2*(p - b) mod p, b = a_2/a_1, so the girth is min(p, h(<1, p - b>)),
     which is h(<1, p - b>) <= 1 + p - b, from the sail in O(log p). Otherwise
     vertex-transitivity makes one source enough: breadth-first search from 0,
-    then close a cycle through each -a.
+    which stops at the first arc back to 0.
     """
     return _shortest_cycles(G.modulus, [G.A])[0]
 
@@ -414,26 +413,30 @@ def shortest_cycle(G: CayleyGraph) -> int:
 def _shortest_cycles(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[int]:
     """shortest_cycle of each connection set in sets, all of one size.
 
-    At d = 2 all of them take one kernel call; other sizes run one BFS each.
+    At d = 2 all of them take one kernel call; other sizes run one BFS each,
+    over an O(p) distance list, until it closes its shortest cycle.
     """
     p = pm.p
     if sets and len(sets[0]) == 2:
         tails = [[p - b * pow(a, -1, p) % p] for a, b in sets]
         return heights_of(np.array(tails, dtype=np.int64), p)[0].tolist()
-    girths = []
-    for A in sets:
-        dist = [-1] * p
-        dist[0] = 0
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for a in A:
-                y = (x + a) % p
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        girths.append(1 + min(dist[(p - a) % p] for a in A))
-    return girths
+    return [_bfs_girth(A, p) for A in sets]
+
+
+def _bfs_girth(A: tuple[int, ...], p: int) -> int:
+    # vertices leave the queue in nondecreasing distance, so the first arc back
+    # to 0 closes a shortest cycle
+    dist = [-1] * p
+    dist[0] = 0
+    queue = [0]
+    for x in queue:
+        for a in A:
+            y = (x + a) % p
+            if y == 0:
+                return dist[x] + 1
+            if dist[y] < 0:
+                dist[y] = dist[x] + 1
+                queue.append(y)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 # Residue products k*a must stay exact in 64-bit arithmetic: for p <= 2**31 - 1
 # every product of two residues is below 2**62.
 MAX_MODULUS = 2**31 - 1
+
+# canonical_connection_sets tests at most this many candidate rows at once, so its
+# memory grows with d (128 KiB per int64 column), not with the candidate count
+_BLOCK_ROWS = 1 << 14
 
 # Witness set for a deterministic Miller-Rabin test, valid for all n < 3.3e24.
 _STRONG_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -144,24 +150,32 @@ def connection_set_residues(A: Iterable[int], p: int | PrimeModulus) -> tuple[in
     return elems
 
 
-def _least_multiple(elems: tuple[int, ...], p: int) -> tuple[int, ...]:
-    # The least sorted(c*A) starts with 1, and c*A contains 1 only for c = a^-1.
-    inverses = [pow(a, -1, p) for a in elems]
-    return min(tuple(sorted(c * x % p for x in elems)) for c in inverses)
-
-
 def canonical_connection_sets(p: int | PrimeModulus, d: int) -> Iterator[tuple[int, ...]]:
     """Each scalar-equivalence class of d-subsets of F_p*, once, in lexicographic order.
 
     A set is emitted iff it is the least sorted(c*A) over c in F_p*, so the
-    stream is the sorted list of class representatives. Such a set starts with
-    1, so only the C(p-2, d-1) sets (1,) + rest are tested, each against its d
-    multiples a^-1 * A: O(C(p-2, d-1) * d^2 log d) in all.
+    stream is the sorted list of class representatives, as tuples of ints. Such
+    a set starts with 1, and c*A holds 1 only for c = a^-1, so only the
+    C(p-2, d-1) sets (1,) + rest are tested, as int64 rows in blocks: each row
+    is scaled by the inverse of its entry in each column i >= 1, sorted, and
+    compared at the first column where the two differ (a base-p row code would
+    overflow int64, as p^d does at d = p - 1 for p >= 19).
     """
     pv = as_modulus(p).p
     if d < 1:
         raise ValueError("connection sets need d >= 1")
-    for rest in itertools.combinations(range(2, pv), d - 1):
-        A = (1,) + rest
-        if _least_multiple(A, pv) == A:
-            yield A
+    if d >= 2:
+        # d >= 2 bounds p by the subset budget; d = 1 needs no scaling
+        inverse = np.array([0] + [pow(a, -1, pv) for a in range(1, pv)], dtype=np.int64)
+    rests = itertools.combinations(range(2, pv), d - 1)
+    while block := list(itertools.islice(rests, _BLOCK_ROWS)):
+        rows = np.array([(1,) + rest for rest in block], dtype=np.int64)
+        at = np.arange(len(rows))
+        keep = np.ones(len(rows), dtype=bool)
+        for i in range(1, d):
+            scaled = rows * inverse[rows[:, i, None]]
+            scaled %= pv
+            scaled.sort(axis=1)
+            first = (scaled != rows).argmax(axis=1)
+            keep &= rows[at, first] <= scaled[at, first]
+        yield from map(tuple, rows[keep].tolist())

@@ -78,7 +78,8 @@ def brute_upper(A, p):
 
 
 def bfs_girth(A, p):
-    """Girth by breadth-first search from 0, closing a cycle through each -a."""
+    """Girth by a breadth-first search from 0 over all p vertices, then closing a
+    cycle through each -a; the reference for the early-exit search."""
     dist = [-1] * p
     dist[0] = 0
     queue = [0]
@@ -610,10 +611,15 @@ class TestShortestCycle:
             (5, (1, 2), 3),
             (11, (1, 7), 4),
             (7, (1, 2), 4),
+            (1009, (1, 2, 3), 337),
+            (1009, (1, 5, 1004), 2),
+            (101, (3, 7, 50, 51), 2),
+            (13, (1, 5, 8, 12), 2),
+            (1009, (5,), 1009),
         ],
     )
     def test_examples(self, p, A, expected):
-        assert shortest_cycle(CayleyGraph(p, A)) == expected
+        assert shortest_cycle(CayleyGraph(p, A)) == bfs_girth(A, p) == expected
 
     def test_agrees_with_sumset_oracle(self):
         for p, A in SMALL:
@@ -623,6 +629,18 @@ class TestShortestCycle:
         for p in primes_up_to(61):
             for A in itertools.combinations(range(1, p), 2):
                 assert shortest_cycle(CayleyGraph(p, A)) == bfs_girth(A, p), (p, A)
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_classes_match_bfs(self, d):
+        for p in primes_up_to(31):
+            for A in canonical_connection_sets(p, d):
+                assert shortest_cycle(CayleyGraph(p, A)) == bfs_girth(A, p), (p, A)
+
+    def test_cli_girth_at_large_p(self, capsys):
+        code = main(["cayley", "-p", "1000003", "-A", "1,5000,77777", "--girth", "--format", "json"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["rows"][0]["shortest_cycle"] == 79
+        assert bfs_girth((1, 5000, 77777), 1000003) == 79
 
     def test_girth_windows(self):
         # enough generators force short cycles

@@ -21,6 +21,8 @@ COMMANDS = {
     "cayley": ["cayley", "-p", "11", "-A", "1,7", "--exact", "--css", "--girth"],
     "cayley_witness": ["cayley", "-p", "7", "-A", "1,3", "--css"],
     "scan": ["scan", "--pmax", "7", "-d", "2", "--exact"],
+    "scan_d3": ["scan", "--pmax", "13", "-d", "3"],
+    "scan_d4": ["scan", "--pmax", "11", "-d", "4"],
     "table_empty": ["table", "--pmin", "3", "--pmax", "3"],
     "gaps_empty": ["gaps", "--pmin", "4", "--pmax", "4"],
     "scan_empty": ["scan", "--pmax", "3", "-d", "5"],

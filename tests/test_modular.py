@@ -132,24 +132,27 @@ def burnside_class_count(p: int, d: int) -> int:
 def brute_scalar_minima(p: int, d: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Every d-subset A of F_p* in lex order, with min over all c in 1..p-1 of sorted(c*A).
 
-    Each sorted multiple is compared as its base-p digit string, which keeps
-    the lexicographic order of tuples with entries below p.
+    Each sorted multiple is compared as a byte string of its entries (p < 256,
+    and no entry is 0), whose order is the lexicographic order of the tuples;
+    unlike a base-p number it cannot overflow, whatever d is.
     """
     subsets = list(itertools.combinations(range(1, p), d))
     rows = np.array(subsets, dtype=np.int64).reshape(len(subsets), d)
-    weights = p ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    best = np.full(len(subsets), np.iinfo(np.int64).max)
+    best = None
     for c in range(1, p):
-        np.minimum(best, np.sort(c * rows % p, axis=1) @ weights, out=best)
-    minima = [tuple(row) for row in (best[:, None] // weights % p).tolist()]
+        multiple = np.sort(c * rows % p, axis=1).astype(np.uint8).view(f"S{d}").ravel()
+        best = multiple if best is None else np.where(multiple < best, multiple, best)
+    minima = [tuple(row) for row in best.view(np.uint8).reshape(len(subsets), d).tolist()]
     return subsets, minima
 
 
-# Every prime p <= 31 with 1 <= d <= min(5, p-1), plus d = p, which has no class.
+# Every prime p <= 31 with 1 <= d <= min(5, p-1), d = p - 2 and d = p - 1, where
+# a base-p code of a row overflows int64 from p = 19 on, plus d = p, which has
+# no class.
 CLASS_COUNT_CASES = [
     (p, d, burnside_class_count(p, d))
     for p in primes_up_to(31)
-    for d in (*range(1, min(5, p - 1) + 1), p)
+    for d in sorted({*range(1, min(5, p - 1) + 1), p - 2, p - 1, p} - {0})
 ]
 
 
@@ -160,6 +163,8 @@ def test_canonical_connection_set_counts(p, d, count):
     assert len(classes) == count
     # the representatives are exactly the distinct brute minima, in lex order
     assert classes == sorted(set(minima))
+    # plain tuples of Python ints, which json.dumps accepts and numpy integers are not
+    assert all(type(A) is tuple and all(type(a) is int for a in A) for A in classes)
 
 
 def test_canonical_connection_sets_cover_all_subsets():
