@@ -90,9 +90,10 @@ def is_triangle_free(G: CayleyGraph) -> tuple[int, ...] | None:
     are tried in size-then-lexicographic order. A holds nonzero residues, so
     G has no loops.
     """
+    p, A = G.p, G.A
     for size in (2, 3):
-        for combo in itertools.combinations_with_replacement(G.A, size):
-            if sum(combo) % G.p == 0:
+        for combo in itertools.combinations_with_replacement(A, size):
+            if sum(combo) % p == 0:
                 return combo
     return None
 

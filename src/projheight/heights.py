@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .modular import PrimeModulus, ProjectivePoint, as_modulus, d_star
+from .modular import PrimeModulus, ProjectivePoint, as_modulus, d_star, scalar_least_rows
 
 DEFAULT_POINT_BUDGET = 5_000_000
 
@@ -288,13 +288,6 @@ class SpectrumBoundsReport:
     ok: bool
 
 
-def _sorted_tails(p: int, m: int) -> np.ndarray:
-    """Every nondecreasing tail 1 <= t_1 <= ... <= t_m <= p-1, one row each, in order."""
-    rows = itertools.combinations_with_replacement(range(1, p), m)
-    n = math.comb(p - 2 + m, m)
-    return np.fromiter(itertools.chain.from_iterable(rows), np.int64, n * m).reshape(n, m)
-
-
 def _arrangements(rows: np.ndarray) -> np.ndarray:
     """m!/prod(mult!) for each sorted row of length m: its distinct orderings.
 
@@ -309,41 +302,18 @@ def _arrangements(rows: np.ndarray) -> np.ndarray:
     return count
 
 
-def _codes(rows: np.ndarray, p: int) -> np.ndarray:
-    """Sorted tails over 1..p-1 read as base-(p-1) numbers, which orders them lexicographically."""
-    codes = np.zeros(len(rows), dtype=np.int64)
-    for col in rows.T:
-        codes = codes * (p - 1) + col - 1
-    return codes
-
-
 def _orbits(p: int, j: int) -> tuple[np.ndarray, np.ndarray]:
     """One tail t per S_j orbit of the full-support points <1, t> of P^(j-1)(F_p), and orbit sizes.
 
-    Only sorted tails are generated. Leading with the coordinate x_l turns
-    X = (1, t) into X/x_l, whose sorted tail (one 1 dropped) is the code for l.
-    A row represents its orbit when its own code, l = 0, is the least of the j
-    codes; a row loses as soon as one code is smaller. The points <1, t'> of
-    the orbit are the orderings t' of its distinct codes, so the orbit size
-    sums _arrangements over them. No array has more than j columns.
+    The orbit of <1, t> is every point whose coordinates are an ordering of a
+    multiple c*X of X = (1, t). Its representative is the sorted X that is least
+    among its multiples (scalar_least_rows). Each of the _arrangements(X)
+    orderings of X is a point, met once for each c in the stabiliser of X, so
+    the orbit size is _arrangements(X) over the stabiliser's order.
     """
-    tails = _sorted_tails(p, j - 1)
-    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
-    codes, sizes = [_codes(tails, p)], [_arrangements(tails)]
-    for lead in range(j - 1):
-        inv = inverse[tails[:, lead]]  # the leading 1 of X becomes 1/t_lead
-        scaled = np.column_stack([inv, np.delete(tails, lead, axis=1) * inv[:, None] % p])
-        scaled.sort(axis=1)
-        code = _codes(scaled, p)
-        keep = code >= codes[0]
-        tails, scaled = tails[keep], scaled[keep]
-        codes = [c[keep] for c in codes] + [code[keep]]
-        sizes = [s[keep] for s in sizes] + [_arrangements(scaled)]
-    codes, sizes = np.column_stack(codes), np.column_stack(sizes)
-    order = codes.argsort(axis=1)
-    codes, sizes = np.take_along_axis(codes, order, 1), np.take_along_axis(sizes, order, 1)
-    sizes[:, 1:] *= codes[:, 1:] != codes[:, :-1]  # count each distinct code once
-    return tails, sizes.sum(axis=1)
+    rests = itertools.combinations_with_replacement(range(1, p), j - 1)
+    rows, stabilisers = map(np.concatenate, zip(*scalar_least_rows(p, j - 1, rests)))
+    return rows[:, 1:], _arrangements(rows) // stabilisers
 
 
 def spectrum(p: int | PrimeModulus, d: int, budget: int = DEFAULT_POINT_BUDGET) -> HeightSpectrum:

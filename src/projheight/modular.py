@@ -12,7 +12,7 @@ import numpy as np
 # every product of two residues is below 2**62.
 MAX_MODULUS = 2**31 - 1
 
-# canonical_connection_sets tests at most this many candidate rows at once, so its
+# scalar_least_rows tests at most this many candidate rows at once, so its
 # memory grows with d (128 KiB per int64 column), not with the candidate count
 _BLOCK_ROWS = 1 << 14
 
@@ -150,32 +150,58 @@ def connection_set_residues(A: Iterable[int], p: int | PrimeModulus) -> tuple[in
     return elems
 
 
+# m precedes rests: bench/spans.py reads a traced generator's second argument as an int
+def scalar_least_rows(
+    p: int, m: int, rests: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows X = (1,) + rest least among their scalar multiples, with their stabilisers.
+
+    rests yields nondecreasing m-tuples over 1..p-1, with m >= 1, in
+    lexicographic order. A sorted multiple c*X starts with 1 only for
+    c = x_i^-1, so X is least iff X <= sorted(X / x_i) for every column i >= 1,
+    compared at the first column where the two differ (a base-p row code would
+    overflow int64, as p^d does at d = p - 1 for p >= 19). The stabiliser
+    {c : sorted(c*X) = X} holds c = 1 and each x_i^-1 for a distinct x_i != 1
+    whose image equals X. Rows are read in blocks of _BLOCK_ROWS and a row is
+    dropped at its first smaller image, so memory stays flat; each block yields
+    its kept rows, in order, as int64 rows of m + 1 columns, and their
+    stabiliser orders.
+    """
+    inverse = np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+    rests = iter(rests)
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(rests, _BLOCK_ROWS)), np.int64)
+        if not flat.size:
+            return
+        rows = np.ones((flat.size // m, m + 1), dtype=np.int64)
+        rows[:, 1:] = flat.reshape(-1, m)
+        stabiliser = np.ones(len(rows), dtype=np.int64)
+        for i in range(1, m + 1):
+            image = rows * inverse[rows[:, i, None]]
+            image %= p
+            image.sort(axis=1)
+            first = (image != rows).argmax(axis=1)[:, None]
+            mine = np.take_along_axis(rows, first, 1)[:, 0]
+            theirs = np.take_along_axis(image, first, 1)[:, 0]
+            stabiliser += (mine == theirs) & (rows[:, i] != rows[:, i - 1])
+            keep = mine <= theirs
+            rows, stabiliser = rows.compress(keep, axis=0), stabiliser.compress(keep)
+        yield rows, stabiliser
+
+
 def canonical_connection_sets(p: int | PrimeModulus, d: int) -> Iterator[tuple[int, ...]]:
     """Each scalar-equivalence class of d-subsets of F_p*, once, in lexicographic order.
 
     A set is emitted iff it is the least sorted(c*A) over c in F_p*, so the
     stream is the sorted list of class representatives, as tuples of ints. Such
-    a set starts with 1, and c*A holds 1 only for c = a^-1, so only the
-    C(p-2, d-1) sets (1,) + rest are tested, as int64 rows in blocks: each row
-    is scaled by the inverse of its entry in each column i >= 1, sorted, and
-    compared at the first column where the two differ (a base-p row code would
-    overflow int64, as p^d does at d = p - 1 for p >= 19).
+    a set starts with 1, so only the C(p-2, d-1) sets (1,) + rest are tested,
+    by scalar_least_rows. At d = 1 the one class is (1,).
     """
     pv = as_modulus(p).p
     if d < 1:
         raise ValueError("connection sets need d >= 1")
-    if d >= 2:
-        # d >= 2 bounds p by the subset budget; d = 1 needs no scaling
-        inverse = np.array([0] + [pow(a, -1, pv) for a in range(1, pv)], dtype=np.int64)
-    rests = itertools.combinations(range(2, pv), d - 1)
-    while block := list(itertools.islice(rests, _BLOCK_ROWS)):
-        rows = np.array([(1,) + rest for rest in block], dtype=np.int64)
-        at = np.arange(len(rows))
-        keep = np.ones(len(rows), dtype=bool)
-        for i in range(1, d):
-            scaled = rows * inverse[rows[:, i, None]]
-            scaled %= pv
-            scaled.sort(axis=1)
-            first = (scaled != rows).argmax(axis=1)
-            keep &= rows[at, first] <= scaled[at, first]
-        yield from map(tuple, rows[keep].tolist())
+    if d == 1:
+        yield (1,)
+        return
+    for rows, _ in scalar_least_rows(pv, d - 1, itertools.combinations(range(2, pv), d - 1)):
+        yield from map(tuple, rows.tolist())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from projheight import heights
+from projheight import heights, modular
 from projheight.cayley import CayleyGraph, is_triangle_free
 from projheight.heights import (
     BudgetExceededError,
@@ -22,7 +22,7 @@ from projheight.heights import (
     line_height_table,
     spectrum,
 )
-from projheight.modular import canonicalize, is_prime, primes_up_to
+from projheight.modular import canonical_connection_sets, canonicalize, is_prime, primes_up_to
 
 ODD_PRIMES = tuple(p for p in primes_up_to(100) if p > 2)
 
@@ -393,6 +393,31 @@ def test_orbits_one_representative_per_orbit(p, j):
 def test_orbit_sizes_sum_to_full_support_points(p):
     for j in (3, 4) if p == 31 else (3,):
         assert int(heights._orbits(p, j)[1].sum()) == (p - 1) ** (j - 1)
+
+
+@pytest.mark.parametrize("p", [p for p in primes_up_to(13) if p > 2])
+def test_orbits_agree_with_connection_set_classes(p):
+    # both callers of scalar_least_rows: a strictly increasing orbit
+    # representative (1, *t) is a connection-set class, and every class is one
+    for j in (3, 4):
+        rows = [(1, *t) for t in heights._orbits(p, j)[0].tolist()]
+        increasing = [X for X in rows if all(a < b for a, b in zip(X, X[1:]))]
+        assert increasing == list(canonical_connection_sets(p, j))
+
+
+@pytest.mark.parametrize("block_rows", [5, 1])
+def test_block_size_does_not_change_results(monkeypatch, block_rows):
+    set_cases = [
+        (p, d) for p in primes_up_to(19) for d in sorted({1, 2, 3, p - 2, p - 1}) if d >= 1
+    ]
+    spectrum_cases = [(13, 3), (7, 4), (5, 5)]
+    classes = {case: list(canonical_connection_sets(*case)) for case in set_cases}
+    tallies = {case: spectrum(*case).count_per_value for case in spectrum_cases}
+    monkeypatch.setattr(modular, "_BLOCK_ROWS", block_rows)
+    for case in set_cases:
+        assert list(canonical_connection_sets(*case)) == classes[case], case
+    for case in spectrum_cases:
+        assert spectrum(*case).count_per_value == tallies[case], case
 
 
 def test_spectrum_matches_brute_tally():
