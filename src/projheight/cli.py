@@ -28,6 +28,7 @@ from .cayley import (
 from .heights import (
     DEFAULT_POINT_BUDGET,
     BudgetExceededError,
+    check_scan_budget,
     gap_scan,
     height,
     height_upper_bound,
@@ -140,12 +141,7 @@ def cmd_height(args: argparse.Namespace) -> OutputRecord:
     coords = _parse_int_list(args.a)
     point = canonicalize(coords, args.p)
     nonzeros = d_star(point)
-    if nonzeros > 2:
-        # the blocked scan reads nonzeros - 1 tails for each multiplier k < p; a
-        # line point walks the sail in O(log p) and counts as no cells
-        cells = (nonzeros - 1) * (point.p - 1)
-        if cells > args.budget:
-            raise BudgetExceededError(cells, args.budget)
+    check_scan_budget(nonzeros - 1, point.p - 1, args.budget)
     if point.d == 2 and point.coords[0] == 1 and point.coords[1] != 0:
         record = line_height_fast(point.coords[1], point.modulus)
         certs = dict(line_bound_certificates(point.coords[1], point.modulus))
@@ -195,15 +191,14 @@ def cmd_table(args: argparse.Namespace) -> OutputRecord:
             raise ValueError("either --paper-range or both --pmin and --pmax are required")
         if args.pmin > args.pmax:
             raise ValueError("--pmin must not exceed --pmax")
-        primes = [p for p in primes_up_to(args.pmax) if p >= args.pmin and p > 2]
+        # a ranges over [2, p-2], empty below 5
+        primes = [p for p in primes_up_to(args.pmax) if p >= max(args.pmin, 5)]
         parameters = {"pmin": args.pmin, "pmax": args.pmax}
     too_big = next((p for p in primes if (p - 1) ** 2 > DEFAULT_POINT_BUDGET), None)
     if too_big is not None:
         raise BudgetExceededError((too_big - 1) ** 2, DEFAULT_POINT_BUDGET)
     rows = []
     for p in primes:
-        if p < 5:
-            continue  # a ranges over [2, p-2], empty below 5
         # the arrays are indexed by a - 1
         heights_row, argmins = (col[1 : p - 2].tolist() for col in line_height_table(p))
         rows += zip(repeat(p), range(2, p - 1), heights_row, argmins, _line_methods(p))
@@ -212,7 +207,7 @@ def cmd_table(args: argparse.Namespace) -> OutputRecord:
         parameters=parameters,
         columns=("p", "a", "height", "argmin_k", "method"),
         rows=tuple(rows),
-        summary={"rows": len(rows), "primes": len([p for p in primes if p >= 5])},
+        summary={"rows": len(rows), "primes": len(primes)},
     )
 
 
@@ -320,15 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=FORMATS, default="text", help="output format")
 
+    def add_budget(p: argparse.ArgumentParser, text: str) -> None:
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_POINT_BUDGET, help=text)
+
     p_height = sub.add_parser("height", help="height of one projective point")
     p_height.add_argument("-p", type=int, required=True, help="prime modulus")
     p_height.add_argument("-a", required=True, help="comma-separated coordinates")
-    p_height.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=DEFAULT_POINT_BUDGET,
-        help="scan budget in cells: (nonzeros - 1) * (p - 1), 0 for line points",
-    )
+    add_budget(p_height, "scan budget in cells: (nonzeros - 1) * (p - 1), 0 for line points")
     add_format(p_height)
     p_height.set_defaults(func=cmd_height)
 
@@ -349,12 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectrum.add_argument(
         "--check-bounds", action="store_true", help="compare the maximum to its closed-form window"
     )
-    p_spectrum.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=DEFAULT_POINT_BUDGET,
-        help="point enumeration budget",
-    )
+    add_budget(p_spectrum, "point enumeration budget")
     add_format(p_spectrum)
     p_spectrum.set_defaults(func=cmd_spectrum)
 
@@ -381,12 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--pmax", type=int, required=True, help="largest prime")
     p_scan.add_argument("-d", "--d", type=int, required=True, help="connection set size")
     p_scan.add_argument("--exact", action="store_true", help="compute exact beta per instance")
-    p_scan.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=DEFAULT_POINT_BUDGET,
-        help="enumeration budget in subsets: the sum over primes p of C(p-1, d)",
-    )
+    add_budget(p_scan, "enumeration budget in subsets: the sum over primes p of C(p-1, d)")
     p_scan.add_argument("--out", help="write the full report to this path")
     add_format(p_scan)
     p_scan.set_defaults(func=cmd_scan)

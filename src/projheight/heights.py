@@ -36,6 +36,12 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
+def check_scan_budget(tails: int, multipliers: int, budget: int) -> None:
+    """Refuse a blocked scan of tails * multipliers cells past budget; line points read none."""
+    if tails > 1 and tails * multipliers > budget:
+        raise BudgetExceededError(tails * multipliers, budget)
+
+
 def _odd_modulus(p: int | PrimeModulus) -> PrimeModulus:
     pm = as_modulus(p)
     if pm.p == 2:
@@ -340,9 +346,7 @@ def spectrum(p: int | PrimeModulus, d: int, budget: int = DEFAULT_POINT_BUDGET) 
     tally[: p + 1] += math.comb(d, 2) * np.bincount(line_height_table(p)[0], minlength=p + 1)
     for j in range(3, d + 1):
         tails, sizes = _orbits(p, j)
-        t_j = np.zeros(d * p, dtype=np.int64)
-        np.add.at(t_j, heights_of(tails, p)[0], sizes)
-        tally += math.comb(d, j) * t_j
+        np.add.at(tally, heights_of(tails, p)[0], math.comb(d, j) * sizes)
     values = tuple(np.flatnonzero(tally).tolist())
     gaps = tuple(
         (lo, hi) for lo, hi in zip(values, values[1:]) if hi > lo + 1

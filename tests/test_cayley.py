@@ -396,6 +396,11 @@ class TestBetaUpper:
             assert beta_upper(CayleyGraph(p, [1, p - 1])) == (p, 1)
             assert beta_upper(CayleyGraph(p, [1, 2, p - 2, p - 1])) == (2 * p, 1)
 
+    def test_zero_sum_sets_within_the_scan_budget(self):
+        # a zero-sum subset keeps h >= p; here 2 * (p - 2) cells fit the budget
+        assert beta_upper(CayleyGraph(1000003, (1, 2, 1000000))) == (1000003, 1)
+        assert beta_upper(CayleyGraph(101, (1, 2, 7, 98))) == (102, 7)
+
     def test_line_points_have_one_minimizer(self):
         # k + (k*b mod p) ties only at b = p-1, a digon, which beta_upper drops
         for p in primes_up_to(200)[1:]:

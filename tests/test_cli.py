@@ -199,6 +199,23 @@ class TestCayleyCommand:
         header, rows = parse_csv(out)
         assert dict(zip(header, rows[0]))["shortest_cycle"] == "429496731"
 
+    @pytest.mark.parametrize(
+        "A, beta, k",
+        [
+            ("1,2,3", "6", "1"),
+            ("1,5,7", "13", "1"),
+            ("3,7,11,19", "40", "1"),
+            ("2147480646,2147481647,2147482647", "6001", "2147483646"),
+        ],
+    )
+    def test_small_heights_at_max_modulus(self, A, beta, k, capsys):
+        # the scans stop by k = h - nonzeros, far below p - 1
+        code, out, _ = run(["cayley", "-p", "2147483647", "-A", A, "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["beta_upper"], row["witness_k"]) == (beta, k)
+
     def test_sum_free_checked_once(self, capsys, monkeypatch):
         real = cayley.is_triangle_free
         calls = []
@@ -359,6 +376,25 @@ class TestExitCodes:
         assert err == "error: enumeration needs 200000012 evaluations, budget is 5000000\n"
         code, _, err = run(["height", "-p", "101", "-a", "0,1,2,3", "--budget", "199"], capsys)
         assert code == EXIT_LIMIT and "needs 200 evaluations" in err
+
+    @pytest.mark.parametrize(
+        "A, cells",
+        [
+            # U is near p for all three; {1, 2, p-3} sums to 0, so its h is p
+            ("1,2,2147483644", 4294967290),
+            ("1,2,2147483643", 4294967288),
+            ("1,1234567,987654321", 1977777774),
+        ],
+    )
+    def test_cayley_budget_checked_before_any_scan(self, A, cells, capsys, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the height kernel ran past the scan budget")
+
+        monkeypatch.setattr("projheight.cayley.heights_of", no_scan)
+        monkeypatch.setattr("projheight.cayley.minimizers_of", no_scan)
+        code, out, err = run(["cayley", "-p", "2147483647", "-A", A], capsys)
+        assert code == EXIT_LIMIT and out == ""
+        assert err == f"error: enumeration needs {cells} evaluations, budget is 5000000\n"
 
     def test_height_budget_edges(self, capsys):
         code, out, _ = run(["height", "-p", "101", "-a", "1,2,3", "--budget", "200"], capsys)

@@ -13,6 +13,7 @@ from projheight import heights, modular
 from projheight.cayley import CayleyGraph, is_triangle_free
 from projheight.heights import (
     BudgetExceededError,
+    check_scan_budget,
     gap_scan,
     height,
     height_upper_bound,
@@ -452,6 +453,16 @@ def test_spectrum_budget(monkeypatch):
     assert info.value.required == 31
     with pytest.raises(ValueError):
         spectrum(7, 1)
+
+
+def test_check_scan_budget_edges():
+    check_scan_budget(2, 100, 200)
+    # a line point walks the sail and reads no cells
+    for tails in (0, 1):
+        check_scan_budget(tails, 2**31, 1)
+    with pytest.raises(BudgetExceededError) as info:
+        check_scan_budget(3, 67, 200)
+    assert (info.value.required, info.value.budget) == (201, 200)
 
 
 def test_spectrum_bounds_check():
