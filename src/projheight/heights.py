@@ -25,6 +25,21 @@ DEFAULT_POINT_BUDGET = 5_000_000
 # history and took spectrum(199, 3) from 0.138 to 0.148 s; 2**21 took two
 # spectra from 54 to 78 MB. Line points go through the sail, not blocks.
 _BLOCK_CELLS = 1 << 18
+# The first block of a row group is 4096 multipliers wide (fewer if the cells
+# or the bound allow fewer). Over 200 seeded d = 3 points (p in [10^6, 2*10^6],
+# mean height 23,000) the bound-capped scan took 4.8 blocks per point from 1024,
+# 3.1 from 4096 and 1.7 from 16384, reading 22,500, 22,800 and 23,800
+# multipliers; at d = 4 (p in [10^5, 2*10^5]) 16384 read 14 % more than 4096.
+_FIRST_WIDTH = 4096
+# No block is narrower than 64 multipliers: a batch of more rows than
+# _BLOCK_CELLS // 64 = 4096 is scanned in equal row groups of at most that many.
+# On a 2-vCPU VM this took heights_of over the 809,236 orbit rows of
+# spectrum(2203, 3) from 16.1 to 4.9 s (16 to 128 gave 4.8 to 4.9 s), and over
+# the 39,225 of spectrum(97, 4) from 82-98 to 72-77 ms. The 6,634 rows of
+# spectrum(199, 3) make two groups, which read 10 % more cells in the same
+# 10-13 ms; 128 made four groups there, which read 1.05 million cells, not
+# 0.64 million, in 22 ms.
+_MIN_WIDTH = 64
 
 
 class BudgetExceededError(Exception):
@@ -125,44 +140,62 @@ def _sail_heights(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return best, best_k
 
 
+def _blocks(tails: np.ndarray, p: int, ceiling: np.ndarray):
+    """Yield (rows, k, sums): the residue sums of tails[rows] at k, k + 1, ..., one block at a time.
+
+    The k-th sum of <1, t> is at least k + (nonzeros of t), so a row is read
+    only while k + nonzeros < ceiling[row]; the caller may lower ceiling
+    between blocks. A block covers at most _BLOCK_CELLS cells. Its width
+    starts at _FIRST_WIDTH and doubles, but the block never passes p - 1 or
+    the last k that some live row still needs, ceiling - nonzeros - 1. That
+    bound cap took the multipliers read per d = 3 point (200 seeded points, p
+    in [10^6, 2*10^6], mean height 23,000) from 31,700 to 22,500 at the same
+    first width, and per d = 4 point (p in [10^5, 2*10^5]) from 24,300 to
+    16,100. More rows than _BLOCK_CELLS // _MIN_WIDTH are split into equal
+    groups, each scanned from k = 1 on its own, so that no block is narrower
+    than _MIN_WIDTH.
+    """
+    n = len(tails)
+    floor = np.count_nonzero(tails, axis=1)
+    groups = -(-n // max(1, _BLOCK_CELLS // _MIN_WIDTH))
+    for g in range(groups):
+        live = np.arange(g * n // groups, (g + 1) * n // groups)
+        k, width = 1, _FIRST_WIDTH
+        while k < p and len(live):
+            need = int((ceiling[live] - floor[live]).max()) - k
+            width = max(1, min(width, _BLOCK_CELLS // len(live), p - k, need))
+            yield live, k, _residue_sums(tails[live], np.arange(k, k + width, dtype=np.int64), p)
+            k, width = k + width, 2 * width
+            live = live[k + floor[live] < ceiling[live]]
+
+
 def _blocked_heights(tails: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """heights_of by scanning multipliers, for rows of any number of nonzeros.
 
-    One k-loop runs over all rows. Each block forms the sums of the live rows
-    for at most _BLOCK_CELLS (point, k) cells; block widths start at 1024 and
-    double. The k-th sum of <1, t> is at least k + (nonzeros of t), so after
-    each block a row stays live only while that bound is below its best.
-    Only a strictly smaller sum replaces the best, so ties keep the least k.
+    The scan walks _blocks with each row's best sum so far as its ceiling, so
+    a row stops once k + (nonzeros of t) reaches its best. Only a strictly
+    smaller sum replaces the best, so ties keep the least k.
     """
     heights = np.full(len(tails), p * (tails.shape[1] + 1), dtype=np.int64)
     argmins = np.ones(len(tails), dtype=np.int64)
-    floor = np.count_nonzero(tails, axis=1)
-    live = np.arange(len(tails))
-    k, width = 1, min(1024, p - 1)
-    while k < p and len(live):
-        width = max(1, min(width, _BLOCK_CELLS // len(live), p - k))
-        sums = _residue_sums(tails[live], np.arange(k, k + width, dtype=np.int64), p)
+    for live, k, sums in _blocks(tails, p, heights):
         arg = sums.argmin(axis=1)
         low = sums[np.arange(len(live)), arg]
         better = low < heights[live]
         heights[live[better]], argmins[live[better]] = low[better], k + arg[better]
-        k, width = k + width, 2 * width
-        live = live[k + floor[live] < heights[live]]
     return heights, argmins
 
 
 def minimizers_of(tails: np.ndarray, p: int, heights: np.ndarray) -> np.ndarray:
     """Every (row, k) whose sum is that row's height h, from heights_of(tails, p)[0].
 
-    Only k <= h - (nonzeros of t) can attain h; they are scanned in blocks of at
-    most _BLOCK_CELLS cells while rows are fewer.
+    Only k <= h - (nonzeros of t) can attain h, so the scan walks _blocks with
+    the fixed ceiling h + 1.
     """
-    last = min(p - 1, int((heights - np.count_nonzero(tails, axis=1)).max()))
-    width = max(1, _BLOCK_CELLS // len(tails))
     found = []
-    for k in range(1, last + 1, width):
-        sums = _residue_sums(tails, np.arange(k, min(k + width, last + 1), dtype=np.int64), p)
-        found.append(np.argwhere(sums == heights[:, None]) + [0, k])
+    for live, k, sums in _blocks(tails, p, heights + 1):
+        rows, ks = np.nonzero(sums == heights[live, None])
+        found.append(np.column_stack([live[rows], k + ks]))
     return np.concatenate(found)
 
 

@@ -76,6 +76,27 @@ def pruned_line_record(a, p):
     return best, best_k
 
 
+def brute_sums(tails, p):
+    """sums[i, k - 1]: the multiplier-k sum of <1, tails[i]>, for every k = 1..p-1."""
+    ks = np.arange(1, p)
+    return ks + (tails[:, :, None] * ks % p).sum(axis=1)
+
+
+def mixed_tails(p, seed):
+    """24 seeded tails of 2 to 4 nonzeros (d = 3 to 5), shuffled among zeros to 5 places."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(24):
+        m = rng.randrange(2, 5)
+        row = [rng.randrange(1, p) for _ in range(m)] + [0] * (5 - m)
+        rng.shuffle(row)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+MIXED_TAILS = {p: mixed_tails(p, p) for p in (13, 10007)}
+
+
 def test_height_examples():
     assert height(canonicalize((1, 2), 11)).height == 3
     for p in (3, 7, 29):
@@ -211,25 +232,46 @@ class TestKernelBlockEdges:
             + [(a, a, a) for a in range(1, p)] + [(a, a, 0) for a in range(1, p)],
             dtype=np.int64,
         )
-        live = []
+        groups = []
         residue_sums = heights._residue_sums
 
         def spy(rows, ks, q):
-            live.append(len(rows))
+            if ks[0] == 1:  # each row group starts its own scan at k = 1
+                groups.append([])
+            groups[-1].append(len(rows))
             return residue_sums(rows, ks, q)
 
         monkeypatch.setattr(heights, "_residue_sums", spy)
+        # groups of `cells` rows, one k per block while a group is whole
+        monkeypatch.setattr(heights, "_MIN_WIDTH", 1)
         hts, ams = heights._blocked_heights(tails, p)
         want = [brute_record((1, *t), p) for t in tails.tolist()]
         assert list(zip(hts.tolist(), ams.tolist())) == want
-        # the live rows shrink block by block, and rows with tied minimizers keep the least k
-        assert live[0] == len(tails) and live == sorted(live, reverse=True) and live[-1] < live[0]
-        assert len(set(live)) > 3
+        # every row is in one group; the live rows of a group shrink block by
+        # block, in most groups to fewer than they started with, and rows with
+        # tied minimizers keep the least k
+        assert len(groups) > 1 and sum(live[0] for live in groups) == len(tails)
+        for live in groups:
+            assert live[0] <= cells and live == sorted(live, reverse=True)
+        assert sum(live[-1] < live[0] for live in groups) > len(groups) // 2
+        assert max(len(set(live)) for live in groups) > 3
         ties = [
             t for t, (h, _) in zip(tails.tolist(), want)
             if sum(k + sum(k * c % p for c in t) == h for k in range(1, p)) > 1
         ]
         assert len(ties) > 10
+
+    def test_mixed_rows_and_minimizers_match_brute(self, cells):
+        # 2 to 4 tails with zeros mixed in; at p = 10007 a row's bound cap lands mid-block
+        for p, tails in MIXED_TAILS.items():
+            hts, ams = heights.heights_of(tails, p)
+            sums = brute_sums(tails, p)
+            assert hts.tolist() == sums.min(axis=1).tolist(), p
+            assert ams.tolist() == (sums.argmin(axis=1) + 1).tolist(), p
+            # every k attaining h, which lies at or below h - nonzeros
+            want = sorted(zip(*np.nonzero(sums == hts[:, None])))
+            got = heights.minimizers_of(tails, p, hts)
+            assert sorted((row, k - 1) for row, k in got.tolist()) == want, p
 
     def test_leading_zeros_and_d1(self, cells):
         for p in (3, 7, 13, 31):
@@ -242,6 +284,36 @@ class TestKernelBlockEdges:
         for a in (3, 46341, 123456789, 987654321, 1234567890):
             rec = height(canonicalize((1, a), p))
             assert (rec.height, rec.argmin_k) == pruned_line_record(a, p), a
+
+
+def test_scan_stops_at_each_rows_bound(monkeypatch):
+    # single d = 3 and d = 4 points at p near 10^6 and 10^5, as `height` scans them
+    reads = []
+    residue_sums = heights._residue_sums
+
+    def spy(rows, ks, q):
+        sums = residue_sums(rows, ks, q)
+        reads.append((int(ks[0]), int(ks[-1]), int(sums.min())))
+        return sums
+
+    monkeypatch.setattr(heights, "_residue_sums", spy)
+    rng = random.Random(18)
+    read = allowed = 0
+    for d, lo in ((3, 10**6), (4, 10**5)):
+        for p in [q for q in range(lo, lo + 400) if is_prime(q)][:10]:
+            tails = np.array([[rng.randrange(1, p) for _ in range(d - 1)]], dtype=np.int64)
+            reads.clear()
+            h = int(heights.heights_of(tails, p)[0][0])
+            assert h == brute_sums(tails, p).min(), (p, tails)
+            # a block after the first ends before k + nonzeros reaches the best so far
+            best = p * d
+            for first, last, low in reads:
+                assert first == 1 or last + d - 1 < best, (p, tails, reads)
+                best = min(best, low)
+            read += reads[-1][1]
+            allowed += reads[0][1] + h - (d - 1)
+    # together the points read no more than their first blocks plus every h - nonzeros
+    assert read <= allowed
 
 
 def test_line_height_table_has_no_cap():
