@@ -419,7 +419,7 @@ def shortest_cycle(G: CayleyGraph) -> int:
     c_1 = c_2*(p - b) mod p, b = a_2/a_1, so the girth is min(p, h(<1, p - b>)),
     which is h(<1, p - b>) <= 1 + p - b, from the sail in O(log p). Otherwise
     vertex-transitivity makes one source enough: breadth-first search from 0,
-    which stops at the first arc back to 0.
+    which stops at the first arc back to 0, once check_girth_budget allows it.
     """
     return _shortest_cycles(G.modulus, [G.A])[0]
 
@@ -427,28 +427,34 @@ def shortest_cycle(G: CayleyGraph) -> int:
 def _shortest_cycles(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[int]:
     """shortest_cycle of each connection set in sets, all of one size.
 
-    At d = 2 all of them take one kernel call; other sizes run one BFS each,
-    over an O(p) distance list, until it closes its shortest cycle.
+    The batch meets check_girth_budget before any search. At d = 2 all take
+    one kernel call; other sizes run one BFS each, over an O(p) distance list.
     """
-    p = pm.p
-    if sets and len(sets[0]) == 2:
+    p, d = pm.p, len(sets[0]) if sets else 0
+    check_girth_budget(p, d)
+    if d == 2:
         tails = [[p - b * pow(a, -1, p) % p] for a, b in sets]
         return heights_of(np.array(tails, dtype=np.int64), p)[0].tolist()
     return [_bfs_girth(A, p) for A in sets]
 
 
+def check_girth_budget(p: int, d: int) -> None:
+    """Refuse a girth search of p*d arcs past the default budget; d = 2 takes the sail."""
+    if d != 2 and p * d > DEFAULT_POINT_BUDGET:
+        raise BudgetExceededError(p * d, DEFAULT_POINT_BUDGET)
+
+
 def _bfs_girth(A: tuple[int, ...], p: int) -> int:
     # vertices leave the queue in nondecreasing distance, so the first arc back
-    # to 0 closes a shortest cycle
-    dist = [-1] * p
-    dist[0] = 0
+    # to 0 closes a shortest cycle; before it, a distance of 0 means unreached
+    dist = [0] * p
     queue = [0]
     for x in queue:
         for a in A:
             y = (x + a) % p
             if y == 0:
                 return dist[x] + 1
-            if dist[y] < 0:
+            if not dist[y]:
                 dist[y] = dist[x] + 1
                 queue.append(y)
 
@@ -459,8 +465,8 @@ class BetaReport:
 
     triangle_witness is is_triangle_free's zero-sum multiset, None when there is none;
     css_margin is gamma/2 minus the best available beta bound; violations
-    lists any failed assertion (expected empty). shortest_cycle is the girth
-    when it was measured, as scan_css does; every field is set when it is built.
+    lists any failed assertion (expected empty). shortest_cycle is the girth when
+    scan_css or `cayley --girth` measured it; every field is set when it is built.
     """
 
     graph: CayleyGraph

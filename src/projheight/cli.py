@@ -21,6 +21,7 @@ from .cayley import (
     BetaReport,
     CapExceededError,
     CayleyGraph,
+    check_girth_budget,
     css_check,
     scan_css,
     shortest_cycle,
@@ -236,9 +237,9 @@ def cmd_spectrum(args: argparse.Namespace) -> OutputRecord:
 def cmd_gaps(args: argparse.Namespace) -> OutputRecord:
     if args.pmin > args.pmax:
         raise ValueError("--pmin must not exceed --pmax")
-    reports = [
-        gap_scan(p, args.r, args.c) for p in primes_up_to(args.pmax) if p >= max(args.pmin, 3)
-    ]
+    primes = [p for p in primes_up_to(args.pmax) if p > 2 and p >= args.pmin]
+    # the largest prime first, so gap_scan refuses before any table is built
+    reports = [gap_scan(p, args.r, args.c) for p in reversed(primes)][::-1]
     return OutputRecord(
         command="gaps",
         parameters={"pmin": args.pmin, "pmax": args.pmax, "r": args.r, "c": str(args.c)},
@@ -253,9 +254,8 @@ def cmd_gaps(args: argparse.Namespace) -> OutputRecord:
 
 def cmd_cayley(args: argparse.Namespace) -> OutputRecord:
     graph = CayleyGraph(args.p, _parse_int_list(args.A))
-    if args.girth and graph.d != 2 and graph.p * graph.d > DEFAULT_POINT_BUDGET:
-        # the girth BFS walks d arcs out of each of the p vertices
-        raise BudgetExceededError(graph.p * graph.d, DEFAULT_POINT_BUDGET)
+    if args.girth:
+        check_girth_budget(graph.p, graph.d)
     report = css_check(graph, exact=args.exact, cap=_exact_cap())
     witness = report.triangle_witness
     if args.girth:

@@ -647,6 +647,25 @@ class TestShortestCycle:
         assert json.loads(capsys.readouterr().out)["rows"][0]["shortest_cycle"] == 79
         assert bfs_girth((1, 5000, 77777), 1000003) == 79
 
+    @pytest.mark.parametrize("p,A", [(2000003, (1, 2, 3)), (5000011, (1,))])
+    def test_budget_checked_before_the_search(self, p, A, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the girth search ran before the budget check")
+
+        monkeypatch.setattr("projheight.cayley._bfs_girth", no_search)
+        with pytest.raises(BudgetExceededError) as info:
+            shortest_cycle(CayleyGraph(p, A))
+        assert info.value.required == p * len(A)
+
+    def test_pairs_take_the_sail_past_the_budget(self, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the girth search ran at d = 2")
+
+        monkeypatch.setattr("projheight.cayley._bfs_girth", no_search)
+        p = 2147483647
+        # c_1 + 5*c_2 = p with c_2 as large as it goes: 2 steps of 1, p // 5 of 5
+        assert shortest_cycle(CayleyGraph(p, (1, 5))) == p // 5 + p % 5 == 429496731
+
     def test_girth_windows(self):
         # enough generators force short cycles
         for p, A in SMALL:

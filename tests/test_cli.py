@@ -155,6 +155,16 @@ class TestGapsCommand:
         code, _, _ = run(["gaps", "--pmax", "11", "--r", "0"], capsys)
         assert code == EXIT_INPUT
 
+    def test_limit_refused_before_any_table(self, capsys, monkeypatch):
+        def no_table(p):
+            raise AssertionError("a line table was built before the budget check")
+
+        monkeypatch.setattr("projheight.heights.line_height_table", no_table)
+        code, out, err = run(["gaps", "--pmax", "5000100"], capsys)
+        assert code == EXIT_LIMIT and out == ""
+        # the largest prime, 5000087, has p + 1 points
+        assert err == "error: enumeration needs 5000088 evaluations, budget is 5000000\n"
+
 
 class TestCayleyCommand:
     def test_full_flags(self, capsys):
@@ -363,6 +373,16 @@ class TestExitCodes:
         code, out, err = run(["cayley", "-p", "2147483647", "-A", "1,5,7", "--girth"], capsys)
         assert code == EXIT_LIMIT and out == ""
         assert err == "error: enumeration needs 6442450941 evaluations, budget is 5000000\n"
+
+    def test_exact_cap_checked_before_the_girth_search(self, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the girth search ran before the exact cap check")
+
+        monkeypatch.setattr("projheight.cayley._bfs_girth", no_search)
+        # p*d is within the girth budget, so only the exact cap refuses
+        code, out, err = run(["cayley", "-p", "4999999", "-A", "1", "--exact", "--girth"], capsys)
+        assert code == EXIT_LIMIT and out == ""
+        assert err == "error: graph has 4999999 vertices, exact cap is 24\n"
 
     def test_height_budget_checked_before_any_work(self, capsys, monkeypatch):
         def no_work(*args, **kwargs):
