@@ -209,16 +209,10 @@ def _upper_bounds(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[tup
     if live.size:
         lead = rest[live, 0].tolist()
         tails = rest[live, 1:] * np.array([pow(a, -1, p) for a in lead])[:, None] % p
-        # h <= the sums at k = +-1 of the rest and of <1, t>; both scans stop by k = h - nonzeros
-        nonzeros = np.count_nonzero(tails, axis=1)
-        sums = (rest[live].sum(axis=1), 1 + tails.sum(axis=1))
-        bound = np.minimum.reduce([*sums, *(p * (nonzeros + 1) - s for s in sums)])
-        ks = np.minimum(bound - nonzeros, p - 1)
-        worst = np.argmax(np.where(nonzeros > 1, nonzeros * ks, 0))
-        check_scan_budget(int(nonzeros[worst]), int(ks[worst]), DEFAULT_POINT_BUDGET)
+        check_scan_budget(zip(tails.tolist(), rest[live].tolist()), p, DEFAULT_POINT_BUDGET)
         rest_heights, argmins = heights_of(tails, p)
         heights[live] += rest_heights
-        line = nonzeros <= 1
+        line = np.count_nonzero(tails, axis=1) <= 1
         minimizers = list(zip(np.flatnonzero(line).tolist(), argmins[line].tolist()))
         other = np.flatnonzero(~line).tolist()
         if other:

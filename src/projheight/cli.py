@@ -68,8 +68,6 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
-    if not values:
-        raise ValueError("expected at least one integer")
     return values
 
 
@@ -141,8 +139,8 @@ def _audit_cells(report: BetaReport) -> tuple:
 def cmd_height(args: argparse.Namespace) -> OutputRecord:
     coords = _parse_int_list(args.a)
     point = canonicalize(coords, args.p)
-    nonzeros = d_star(point)
-    check_scan_budget(nonzeros - 1, point.p - 1, args.budget)
+    tails = [c for c in point.coords if c][1:]
+    check_scan_budget([(tails, [c % point.p for c in coords])], point.p, args.budget)
     if point.d == 2 and point.coords[0] == 1 and point.coords[1] != 0:
         record = line_height_fast(point.coords[1], point.modulus)
         certs = dict(line_bound_certificates(point.coords[1], point.modulus))
@@ -152,7 +150,7 @@ def cmd_height(args: argparse.Namespace) -> OutputRecord:
     row = {
         "p": point.p,
         "point": _join(point.coords),
-        "d_star": nonzeros,
+        "d_star": d_star(point),
         "height": record.height,
         "argmin_k": record.argmin_k,
         "method": record.method,
@@ -321,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_height = sub.add_parser("height", help="height of one projective point")
     p_height.add_argument("-p", type=int, required=True, help="prime modulus")
     p_height.add_argument("-a", required=True, help="comma-separated coordinates")
-    add_budget(p_height, "scan budget in cells: (nonzeros - 1) * (p - 1), 0 for line points")
+    add_budget(p_height, "cells n*min(U-n, p-1) for n >= 2 nonzero tails, U the least sum at k=+-1")
     add_format(p_height)
     p_height.set_defaults(func=cmd_height)
 

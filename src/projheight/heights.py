@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,10 +52,21 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
-def check_scan_budget(tails: int, multipliers: int, budget: int) -> None:
-    """Refuse a blocked scan of tails * multipliers cells past budget; line points read none."""
-    if tails > 1 and tails * multipliers > budget:
-        raise BudgetExceededError(tails * multipliers, budget)
+def check_scan_budget(rows: Iterable[tuple[Sequence[int], Sequence[int]]], p: int, budget: int) -> None:
+    """Refuse a blocked scan whose costliest row counts more than budget cells.
+
+    A row (t, x) is a point <1, t> and the same point x as given, reduced mod p,
+    in any scale; zeros allowed. With n nonzero tails, U is the least sum of either
+    form at k = +-1, so h <= U; the scan needs only k <= h - n, so the row counts
+    n * min(U - n, p - 1) cells. A line point (n <= 1) walks the sail: 0 cells.
+    """
+    worst = 0
+    for t, x in rows:
+        if (n := len(t) - t.count(0)) > 1:
+            sums = (1 + sum(t), sum(x))
+            worst = max(worst, n * min(min(sums) - n, p * (n + 1) - max(sums) - n, p - 1))
+    if worst > budget:
+        raise BudgetExceededError(worst, budget)
 
 
 def _odd_modulus(p: int | PrimeModulus) -> PrimeModulus:

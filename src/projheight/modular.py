@@ -54,7 +54,7 @@ def primes_up_to(n: int) -> list[int]:
     for q in range(2, int(n**0.5) + 1):
         if sieve[q]:
             sieve[q * q :: q] = bytearray(len(range(q * q, n + 1, q)))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 @dataclass(frozen=True)

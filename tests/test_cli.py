@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -392,10 +393,17 @@ class TestExitCodes:
         monkeypatch.setattr("projheight.cli.line_height_fast", no_work)
         code, out, err = run(["height", "-p", "100000007", "-a", "1,1,100000006"], capsys)
         assert code == EXIT_LIMIT and out == ""
-        # 2 nonzero tails for each k < p
+        # 2 nonzero tails for each k < p, as U = p + 1
         assert err == "error: enumeration needs 200000012 evaluations, budget is 5000000\n"
-        code, _, err = run(["height", "-p", "101", "-a", "0,1,2,3", "--budget", "199"], capsys)
+        # U = 102, so again 2 tails * (p - 1) cells
+        code, _, err = run(["height", "-p", "101", "-a", "0,1,50,51", "--budget", "199"], capsys)
         assert code == EXIT_LIMIT and "needs 200 evaluations" in err
+        monkeypatch.undo()
+        code, _, _ = run(["height", "-p", "101", "-a", "0,1,50,51", "--budget", "200"], capsys)
+        assert code == EXIT_OK
+        # U = 6 counts 2 * 4 cells
+        code, out, _ = run(["height", "-p", "101", "-a", "0,1,2,3", "--budget", "199"], capsys)
+        assert code == EXIT_OK and "height: 6" in out
 
     @pytest.mark.parametrize(
         "A, cells",
@@ -415,6 +423,41 @@ class TestExitCodes:
         code, out, err = run(["cayley", "-p", "2147483647", "-A", A], capsys)
         assert code == EXIT_LIMIT and out == ""
         assert err == f"error: enumeration needs {cells} evaluations, budget is 5000000\n"
+
+    @pytest.mark.parametrize(
+        "p, A",
+        [
+            (p, tuple(sorted(rng.sample(range(1, (p + 1) // 2), d))))
+            for rng in [random.Random(20)]
+            for p in (101, 1000003, 2147483647)
+            for d in (3, 4, 5)
+            for _ in range(2)
+        ]
+        + [
+            (2147483647, (1, 2, 3)),
+            (2147483647, (3, 7, 11, 19)),
+            (2147483647, (1, 1234567, 987654321)),
+            (2147483647, (1, 2, 2147483644)),
+        ],
+    )
+    def test_height_and_cayley_price_a_point_alike(self, p, A, capsys):
+        # beta <= h(<A>) makes beta_upper the height of <A>, from one kernel
+        # under one cell count, so the two commands compute or refuse together
+        a = ",".join(map(str, A))
+        h_code, h_out, h_err = run(["height", "-p", str(p), "-a", a, "--format", "csv"], capsys)
+        c_code, c_out, c_err = run(["cayley", "-p", str(p), "-A", a, "--format", "csv"], capsys)
+        assert (h_code, h_err) == (c_code, c_err)
+        if h_code == EXIT_OK:
+            (h_head, h_rows), (c_head, c_rows) = parse_csv(h_out), parse_csv(c_out)
+            assert h_rows[0][h_head.index("height")] == c_rows[0][c_head.index("beta_upper")]
+        else:
+            assert h_code == EXIT_LIMIT and h_err.startswith("error: enumeration needs ")
+
+    def test_empty_list_is_input_error(self, capsys):
+        for argv in (["height", "-p", "7", "-a", ""], ["cayley", "-p", "7", "-A", ""]):
+            code, out, err = run(argv, capsys)
+            assert code == EXIT_INPUT and out == ""
+            assert err == "error: expected comma-separated integers, got ''\n"
 
     def test_height_budget_edges(self, capsys):
         code, out, _ = run(["height", "-p", "101", "-a", "1,2,3", "--budget", "200"], capsys)

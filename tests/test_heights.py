@@ -528,13 +528,36 @@ def test_spectrum_budget(monkeypatch):
 
 
 def test_check_scan_budget_edges():
-    check_scan_budget(2, 100, 200)
+    # U = 102 at k = 1, so 2 tails * min(100, p - 1) cells
+    check_scan_budget([((50, 51), (0, 1, 50, 51))], 101, 200)
     # a line point walks the sail and reads no cells
-    for tails in (0, 1):
-        check_scan_budget(tails, 2**31, 1)
+    for t in ((), (0,), (5,), (0, 7, 0)):
+        check_scan_budget([(t, (1, *t))], 2**31 - 1, 1)
+    # U = 70 at k = 1, so 3 tails * 67 cells, and the costliest row is counted
+    rows = [((50, 51), (1, 50, 51)), ((1, 2, 66), (1, 1, 2, 66))]
     with pytest.raises(BudgetExceededError) as info:
-        check_scan_budget(3, 67, 200)
+        check_scan_budget(rows, 101, 200)
     assert (info.value.required, info.value.budget) == (201, 200)
+
+
+@given(
+    st.sampled_from([p for p in ODD_PRIMES if p <= 43]),
+    st.lists(st.integers(1, 42), min_size=2, max_size=5),
+    st.integers(0, 3),
+    st.integers(1, 10**6),
+    st.randoms(use_true_random=False),
+)
+def test_scan_count_bounds_the_scan(p, nonzero, zeros, c, rng):
+    # the count covers every multiplier the scan needs, and never passes the
+    # n * (p - 1) cells of a full scan
+    t = [v % p or 1 for v in nonzero] + [0] * zeros
+    rng.shuffle(t)
+    x = [(c % p or 1) * v % p for v in (1, *t)]
+    rng.shuffle(x)
+    with pytest.raises(BudgetExceededError) as info:
+        check_scan_budget([(t, x)], p, 0)
+    n, h = len(nonzero), brute_height((1, *t), p)
+    assert n * min(h - n, p - 1) <= info.value.required <= n * (p - 1)
 
 
 def test_spectrum_bounds_check():

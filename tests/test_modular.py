@@ -40,6 +40,12 @@ def test_primes_up_to():
     assert len(primes_up_to(997)) == 168
 
 
+def test_primes_up_to_matches_is_prime():
+    primes = [q for q in range(2, 2001) if is_prime(q)]
+    for n in range(2001):
+        assert primes_up_to(n) == [q for q in primes if q <= n], n
+
+
 def test_prime_modulus_validation():
     assert PrimeModulus(29).p == 29
     assert PrimeModulus(2).p == 2
