@@ -209,7 +209,9 @@ def _upper_bounds(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[tup
     if live.size:
         lead = rest[live, 0].tolist()
         tails = rest[live, 1:] * np.array([pow(a, -1, p) for a in lead])[:, None] % p
-        check_scan_budget(zip(tails.tolist(), rest[live].tolist()), p, DEFAULT_POINT_BUDGET)
+        # listed lazily, as check_scan_budget reads one row when m * (p - 1) fits
+        rows = zip(map(np.ndarray.tolist, tails), map(np.ndarray.tolist, rest[live]))
+        check_scan_budget(rows, p, DEFAULT_POINT_BUDGET)
         rest_heights, argmins = heights_of(tails, p)
         heights[live] += rest_heights
         line = np.count_nonzero(tails, axis=1) <= 1

@@ -13,7 +13,6 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from itertools import repeat
 from math import isqrt
 
 from .cayley import (
@@ -119,20 +118,16 @@ def _join(values, sep: str = ":") -> str:
     return sep.join(str(v) for v in values)
 
 
-def _audit_cells(report: BetaReport) -> tuple:
-    """The AUDIT_COLUMNS cells of report."""
-    G = report.graph
+def _audit_columns(reports: list[BetaReport]) -> tuple[list, ...]:
+    """The AUDIT_COLUMNS values of reports, one list per column."""
+    graphs = [r.graph for r in reports]
     return (
-        G.p,
-        _join(G.A),
-        G.d,
-        report.triangle_free,
-        report.gamma,
-        report.beta_upper,
-        report.witness_k,
-        report.beta_exact,
-        report.shortest_cycle,
-        str(report.css_margin),
+        [G.p for G in graphs],
+        [_join(G.A) for G in graphs],
+        [G.d for G in graphs],
+        # triangle_free to shortest_cycle are report fields of the same names
+        *([getattr(r, name) for r in reports] for name in AUDIT_COLUMNS[3:9]),
+        [str(r.css_margin) for r in reports],
     )
 
 
@@ -163,7 +158,7 @@ def cmd_height(args: argparse.Namespace) -> OutputRecord:
         command="height",
         parameters={"p": args.p, "a": args.a},
         columns=tuple(row),
-        rows=(tuple(row.values()),),
+        values=tuple((v,) for v in row.values()),
         summary={"height": record.height, "argmin_k": record.argmin_k},
     )
 
@@ -196,23 +191,25 @@ def cmd_table(args: argparse.Namespace) -> OutputRecord:
     too_big = next((p for p in primes if (p - 1) ** 2 > DEFAULT_POINT_BUDGET), None)
     if too_big is not None:
         raise BudgetExceededError((too_big - 1) ** 2, DEFAULT_POINT_BUDGET)
-    rows = []
+    values = ([], [], [], [], [])
     for p in primes:
         # the arrays are indexed by a - 1
         heights_row, argmins = (col[1 : p - 2].tolist() for col in line_height_table(p))
-        rows += zip(repeat(p), range(2, p - 1), heights_row, argmins, _line_methods(p))
+        parts = ([p] * (p - 3), range(2, p - 1), heights_row, argmins, _line_methods(p))
+        for column, part in zip(values, parts):
+            column += part
     return OutputRecord(
         command="table",
         parameters=parameters,
         columns=("p", "a", "height", "argmin_k", "method"),
-        rows=tuple(rows),
-        summary={"rows": len(rows), "primes": len(primes)},
+        values=values,
+        summary={"rows": len(values[0]), "primes": len(primes)},
     )
 
 
 def cmd_spectrum(args: argparse.Namespace) -> OutputRecord:
     sp = spectrum(args.p, args.d, budget=args.budget)
-    rows = tuple((sp.p, sp.d, v, sp.count_per_value[v]) for v in sp.values)
+    counts = [sp.count_per_value[v] for v in sp.values]
     summary: dict[str, object] = {
         "max_height": sp.max_height,
         "distinct_values": len(sp.values),
@@ -227,7 +224,7 @@ def cmd_spectrum(args: argparse.Namespace) -> OutputRecord:
         command="spectrum",
         parameters={"p": args.p, "d": args.d, "check_bounds": args.check_bounds},
         columns=("p", "d", "value", "count"),
-        rows=rows,
+        values=([sp.p] * len(counts), [sp.d] * len(counts), list(sp.values), counts),
         summary=summary,
     )
 
@@ -242,9 +239,12 @@ def cmd_gaps(args: argparse.Namespace) -> OutputRecord:
         command="gaps",
         parameters={"pmin": args.pmin, "pmax": args.pmax, "r": args.r, "c": str(args.c)},
         columns=("p", "r", "c", "window_lo", "window_hi", "empty", "inside"),
-        rows=tuple(
-            (g.p, g.r, str(g.c), str(g.lower), str(g.upper), g.empty, _join(g.inside, ";"))
-            for g in reports
+        values=(
+            [g.p for g in reports],
+            [g.r for g in reports],
+            *([str(getattr(g, name)) for g in reports] for name in ("c", "lower", "upper")),
+            [g.empty for g in reports],
+            [_join(g.inside, ";") for g in reports],
         ),
         summary={"primes": len(reports), "windows_all_empty": all(g.empty for g in reports)},
     )
@@ -259,8 +259,8 @@ def cmd_cayley(args: argparse.Namespace) -> OutputRecord:
     if args.girth:
         report = replace(report, shortest_cycle=shortest_cycle(graph))
     # the triangle witness goes after triangle_free, the fourth audit column
-    cells = _audit_cells(report)
-    row = cells[:4] + (_join(witness, ";") if witness else "",) + cells[4:]
+    audit = _audit_columns([report])
+    values = audit[:4] + ([_join(witness, ";") if witness else ""],) + audit[4:]
     summary: dict[str, object] = {
         "triangle_free": report.triangle_free,
         "beta_upper": report.beta_upper,
@@ -279,7 +279,7 @@ def cmd_cayley(args: argparse.Namespace) -> OutputRecord:
             "girth": args.girth,
         },
         columns=AUDIT_COLUMNS[:4] + ("witness",) + AUDIT_COLUMNS[4:],
-        rows=(row,),
+        values=values,
         summary=summary,
     )
 
@@ -290,10 +290,11 @@ def cmd_scan(args: argparse.Namespace) -> OutputRecord:
         command="scan",
         parameters={"pmax": args.pmax, "d": args.d, "exact": args.exact},
         columns=AUDIT_COLUMNS + ("critical_window", "violations"),
-        rows=tuple(
+        values=_audit_columns(reports)
+        + (
             # the critical window is p/4 < d < p/3
-            _audit_cells(r) + (3 * args.d < r.graph.p < 4 * args.d, ";".join(r.violations))
-            for r in reports
+            [3 * args.d < r.graph.p < 4 * args.d for r in reports],
+            [";".join(r.violations) for r in reports],
         ),
         summary={
             "instances": len(reports),

@@ -59,9 +59,12 @@ def check_scan_budget(rows: Iterable[tuple[Sequence[int], Sequence[int]]], p: in
     in any scale; zeros allowed. With n nonzero tails, U is the least sum of either
     form at k = +-1, so h <= U; the scan needs only k <= h - n, so the row counts
     n * min(U - n, p - 1) cells. A line point (n <= 1) walks the sail: 0 cells.
+    All rows have m tails, so when m * (p - 1) cells fit, only the first row is read.
     """
     worst = 0
     for t, x in rows:
+        if len(t) * (p - 1) <= budget:
+            return
         if (n := len(t) - t.count(0)) > 1:
             sums = (1 + sum(t), sum(x))
             worst = max(worst, n * min(min(sums) - n, p * (n + 1) - max(sums) - n, p - 1))

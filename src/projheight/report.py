@@ -1,6 +1,6 @@
 """Deterministic text, CSV, and JSON rendering of command results.
 
-Rows carry only JSON-native values (int, str, bool, None); rationals are
+Cells carry only JSON-native values (int, str, bool, None); rationals are
 stringified by the command builders. Output contains no timestamps, so equal
 inputs render to identical bytes.
 """
@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import Sequence
 
 SCHEMA_VERSION = "1"
 
@@ -23,15 +24,26 @@ FORMATS = ("text", "csv", "json")
 class OutputRecord:
     """A command result: parameter echo, flat sorted rows, and summary.
 
-    Each row is a tuple of cells in the order of columns.
+    values holds one sequence of cells per column, in the order of columns;
+    each has one cell per row.
     """
 
     command: str
     parameters: dict[str, object]
     columns: tuple[str, ...]
-    rows: tuple[tuple[object, ...], ...]
+    values: tuple[Sequence[object], ...]
     summary: dict[str, object]
     schema_version: str = SCHEMA_VERSION
+
+    def __post_init__(self) -> None:
+        lengths = list(map(len, self.values))
+        if len(lengths) != len(self.columns) or len(set(lengths)) > 1:
+            raise ValueError(f"{len(self.columns)} columns but value sequences of lengths {lengths}")
+
+    @property
+    def rows(self) -> tuple[tuple[object, ...], ...]:
+        """Each row as a tuple of cells in the order of columns."""
+        return tuple(zip(*self.values))
 
 
 def cell(value: object) -> str:
@@ -44,31 +56,42 @@ def cell(value: object) -> str:
     return str(value)
 
 
-def _zip_rows(columns: list, n: int):
-    """The n rows of columns, which are n empty rows when there are no columns."""
-    return zip(*columns) if columns else [()] * n
+# Up to this many rows, deciding each column costs more than writing its cells one by one
+_FEW_ROWS = 8
+
+
+def _kinds(record: OutputRecord) -> list[type | None]:
+    """Each column's type where its values are all exactly int (not bool) or all exactly str.
+
+    %s is cell() on such a column."""
+    kinds = ({*map(type, v)} for v in record.values)
+    return [int if k == {int} else str if k == {str} else None for k in kinds]
+
+
+def _columns(record: OutputRecord) -> tuple[list[type | None], list[Sequence]]:
+    """The kinds, and each column's cells: the values where the kind is known, else their cell()."""
+    kinds = _kinds(record)
+    return kinds, [v if kind else list(map(cell, v)) for kind, v in zip(kinds, record.values)]
 
 
 def render_csv(record: OutputRecord) -> str:
+    # the csv module quotes a field that holds a comma, a quote or a line break,
+    # and the one field of a row when it is empty; other rows are joined directly
+    if record.values and len(record.values[0]) > _FEW_ROWS:
+        kinds, columns = _columns(record)
+        strings = [record.columns] + [v for kind, v in zip(kinds, columns) if kind is not int]
+        blob = "".join(chain.from_iterable(strings))
+        if not any(ch in blob for ch in ',"\r\n') and (len(columns) > 1 or all(chain(*strings))):
+            lines = map(",".join(["%s"] * len(columns)).__mod__, zip(*columns))
+            return "\n".join(chain((",".join(record.columns),), lines)) + "\n"
+    rows = list(zip(*record.values))
+    if not {*map(type, chain.from_iterable(rows))} <= {int, str, type(None)}:
+        rows = [list(map(cell, row)) for row in rows]  # csv writes None as cell() does, not bools
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(record.columns)
-    rows = record.rows
-    # csv writes None as "" and any other value by str(), as cell() does, except bools
-    if not set(map(type, chain.from_iterable(rows))) <= {int, str, type(None)}:
-        rows = [[cell(value) for value in row] for row in rows]
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _json_column(values: tuple) -> list[str]:
-    """json.dumps of every value, with json's own encoders for int and str columns."""
-    kinds = set(map(type, values))
-    if kinds <= {int}:
-        return list(map(int.__repr__, values))
-    if kinds <= {str}:
-        return list(map(encode_basestring_ascii, values))
-    return list(map(json.dumps, values))
 
 
 def render_json(record: OutputRecord) -> str:
@@ -76,7 +99,8 @@ def render_json(record: OutputRecord) -> str:
 
     Each row is a dict of its columns, so a later duplicate column wins. The
     rows are filled into one template of the sorted keys and spliced into the
-    dump of the rest of the payload.
+    dump of the rest of the payload: int columns as they are, str columns by
+    json's own encoder, and any other by json.dumps.
     """
     payload = {
         "schema_version": record.schema_version,
@@ -87,34 +111,41 @@ def render_json(record: OutputRecord) -> str:
         "summary": record.summary,
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if not record.rows:
+    if not any(record.values):  # no rows
         return text
+    columns = [
+        v if kind is int else list(map(encode_basestring_ascii if kind else json.dumps, v))
+        for kind, v in zip(_kinds(record), record.values)
+    ]
     last = {name: i for i, name in enumerate(record.columns)}
     keys = sorted(last)
-    columns = [_json_column(values) for values in zip(*record.rows)]
-    fields = ",".join(
-        "\n      %s: %%s" % json.dumps(key).replace("%", "%%") for key in keys
-    )
-    template = "    {" + fields + "\n    }" if keys else "    {}"
-    cells = _zip_rows([columns[last[key]] for key in keys], len(record.rows))
-    rows = ",\n".join([template % row for row in cells])
+    fields = ",".join("\n      %s: %%s" % json.dumps(key).replace("%", "%%") for key in keys)
+    rows = map(("    {" + fields + "\n    }").__mod__, zip(*[columns[last[key]] for key in keys]))
     # top-level keys are the only lines indented by exactly two spaces
-    return text.replace('\n  "rows": [],', '\n  "rows": [\n' + rows + '\n  ],', 1)
+    return text.replace('\n  "rows": [],', '\n  "rows": [\n' + ",\n".join(rows) + '\n  ],', 1)
 
 
 def render_text(record: OutputRecord) -> str:
     lines = [f"# {record.command}"]
     for key in sorted(record.parameters):
         lines.append(f"# {key} = {cell(record.parameters[key])}")
-    if record.rows:
+    if any(record.values):  # some rows
         lines.append("")
-        # cell() is str() on int and str columns
-        columns = [
-            [name, *map(str if set(map(type, values)) <= {int, str} else cell, values)]
-            for name, values in zip(record.columns, zip(*record.rows))
+        (kinds, columns), names = _columns(record), record.columns
+        # every column but the last is padded to its widest cell, and the widest
+        # int is the least or the greatest
+        pads = [
+            "%%-%ds" % max(len(name), len(str(min(v))), len(str(max(v))))
+            if kind is int
+            else "%%-%ds" % max(len(name), max(map(len, v)))
+            for name, kind, v in zip(names[:-1], kinds, columns)
         ]
-        layout = "  ".join("%%-%ds" % max(map(len, texts)) for texts in columns)
-        lines += [(layout % row).rstrip() for row in _zip_rows(columns, len(record.rows) + 1)]
+        table = map("  ".join(pads + ["%s"]).__mod__, chain((names,), zip(*columns)))
+        # a line ends in whitespace only where its last cell is empty or ends in whitespace
+        ends = {names[-1], *(columns[-1] if kinds[-1] is not int else ())}
+        if any(not s or s[-1].isspace() for s in ends):
+            table = map(str.rstrip, table)
+        lines += table
     if record.summary:
         lines.append("")
         for key in sorted(record.summary):

@@ -453,6 +453,13 @@ class TestExitCodes:
         else:
             assert h_code == EXIT_LIMIT and h_err.startswith("error: enumeration needs ")
 
+    def test_scan_budget_still_counts_rows_past_m_full_columns(self, capsys):
+        # 2 tails * (p - 1) cells pass the budget, so each row is counted
+        code, out, _ = run(["height", "-p", "2147483647", "-a", "1,2,3"], capsys)
+        assert code == EXIT_OK and "height: 6" in out
+        code, out, err = run(["cayley", "-p", "2147483647", "-A", "1,2,2147483644"], capsys)
+        assert code == EXIT_LIMIT and out == "" and err.startswith("error: enumeration needs ")
+
     def test_empty_list_is_input_error(self, capsys):
         for argv in (["height", "-p", "7", "-a", ""], ["cayley", "-p", "7", "-A", ""]):
             code, out, err = run(argv, capsys)

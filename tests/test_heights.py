@@ -533,11 +533,21 @@ def test_check_scan_budget_edges():
     # a line point walks the sail and reads no cells
     for t in ((), (0,), (5,), (0, 7, 0)):
         check_scan_budget([(t, (1, *t))], 2**31 - 1, 1)
-    # U = 70 at k = 1, so 3 tails * 67 cells, and the costliest row is counted
-    rows = [((50, 51), (1, 50, 51)), ((1, 2, 66), (1, 1, 2, 66))]
+    # U = 70 at k = 1, so 3 tails * 67 cells, and the costliest row is counted;
+    # every row of one call has as many tails, zeros included
+    rows = [((50, 51, 0), (1, 50, 51)), ((1, 2, 66), (1, 1, 2, 66))]
     with pytest.raises(BudgetExceededError) as info:
         check_scan_budget(rows, 101, 200)
     assert (info.value.required, info.value.budget) == (201, 200)
+
+
+def test_check_scan_budget_reads_one_row_when_every_row_fits():
+    # at (29, 8) each row has 7 tails, and 7 * 28 cells fit the default budget
+    def rows():
+        yield (1, 2, 3, 4, 5, 6, 7), (1, 1, 2, 3, 4, 5, 6, 7)
+        raise AssertionError("read past the first row")
+
+    check_scan_budget(rows(), 29, heights.DEFAULT_POINT_BUDGET)
 
 
 @given(

@@ -3,11 +3,20 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
 from projheight.cli import build_parser, cmd_table
-from projheight.report import OutputRecord, cell, render, render_csv, render_json, render_text
+from projheight.report import (
+    _FEW_ROWS,
+    OutputRecord,
+    cell,
+    render,
+    render_csv,
+    render_json,
+    render_text,
+)
 
 
 def reference_csv(record):
@@ -60,11 +69,12 @@ AWKWARD = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "höhe ≤ p", "
 
 
 def record(columns, rows, parameters=None, summary=None):
+    """A record of the given rows, handed to OutputRecord one list per column."""
     return OutputRecord(
         command="synthetic",
         parameters={"p": 7, "text": 'q"uote'} if parameters is None else parameters,
         columns=tuple(columns),
-        rows=tuple(tuple(row) for row in rows),
+        values=tuple([row[i] for row in rows] for i in range(len(columns))),
         summary={"rows": len(rows), "ok": True, "none": None} if summary is None else summary,
     )
 
@@ -95,7 +105,22 @@ SYNTHETIC = {
         ('q"k', "b\\k", "%s", "é", "rows"), [(1, "x", None, True, 2)]
     ),
     "duplicate_columns": record(("a", "b", "a"), [(1, 2, 3), (4, 5, 6)]),
-    "no_columns": record((), [(), ()]),
+    "last_column_empty_cell": record(("n", "last"), [(1, "x"), (22, ""), (333, "yy")]),
+    "last_column_trailing_space": record(
+        ("n", "last"), [(1, "x "), (22, "y\t"), (333, "z"), (4, "nbsp\xa0")]
+    ),
+    "last_column_name_space": record(("n", "last "), [(1, "x"), (2, "y")]),
+    "int_widest_at_minimum": record(("n", "m"), [(-12345, 1), (7, -2), (0, 3)]),
+    "bool_and_int_column": record(("n", "b"), [(1, 5), (2, True), (3, 0), (4, False)]),
+    "int_and_str_column": record(("v", "n"), [(1, 5), ("bb", 6), (-3, 7), ("", 8)]),
+    "one_cell_needs_quotes": record(
+        ("s", "n"), [("plain", 1), ("a,b", 2), ("c", 3), ("d", 4)]
+    ),
+    "one_column_empty_str": record(("e",), [("x",), ("",), ("yy",)]),
+    "one_column_empty_name": record(("",), [(1,), (2,)]),
+    "non_ascii": record(
+        ("name", "n"), [("höhe", 1), ("≤ p", 2), ("日本", 3), ("\u2028\U0001f600", 4)]
+    ),
     "rows_in_payload": record(
         ("rows",),
         [('\n  "rows": [],',)],
@@ -112,9 +137,32 @@ def test_synthetic_records(name, new, old):
     assert new(rec) == old(rec)
 
 
+@pytest.mark.parametrize("name", sorted(SYNTHETIC))
+@pytest.mark.parametrize("new,old", RENDERERS, ids=["text", "csv", "json"])
+def test_synthetic_records_past_few_rows(name, new, old):
+    # csv writes up to _FEW_ROWS rows one by one, and decides column by column past that
+    rec = SYNTHETIC[name]
+    tall = replace(rec, values=tuple(list(v) * (_FEW_ROWS + 1) for v in rec.values))
+    assert new(tall) == old(tall)
+
+
 def test_full_table_record():
     args = build_parser().parse_args(["table", "--pmin", "3", "--pmax", "997"])
     rec = cmd_table(args)
     assert len(rec.rows) == 75624
     for fmt, (_, old) in zip(("text", "csv", "json"), RENDERERS):
         assert render(rec, fmt) == old(rec), fmt
+
+
+def test_record_needs_one_sequence_per_column():
+    with pytest.raises(ValueError):
+        OutputRecord("synthetic", {}, ("a", "b"), ([1],), {})
+    with pytest.raises(ValueError):
+        OutputRecord("synthetic", {}, ("a",), ([1], [2]), {})
+
+
+def test_record_columns_have_one_length():
+    with pytest.raises(ValueError):
+        OutputRecord("synthetic", {}, ("a", "b"), ([1, 2], [3]), {})
+    rec = OutputRecord("synthetic", {}, ("a", "b"), ([1, 2], [3, 4]), {})
+    assert rec.rows == ((1, 3), (2, 4))
