@@ -426,7 +426,7 @@ def _shortest_cycles(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[
     The batch meets check_girth_budget before any search. At d = 2 all take
     one kernel call; other sizes run one BFS each, over an O(p) distance list.
     """
-    p, d = pm.p, len(sets[0]) if sets else 0
+    p, d = pm.p, len(sets[0])
     check_girth_budget(p, d)
     if d == 2:
         tails = [[p - b * pow(a, -1, p) % p] for a, b in sets]
@@ -559,11 +559,13 @@ def scan_css(
     only a packing settles beta, come first and a packing gap there is refused
     before any DP runs; the rows are returned in ascending p.
     """
+    if d < 1:
+        raise ValueError("connection sets need d >= 1")
     primes = [p for p in primes_up_to(p_max) if p > 2]
     total = sum(math.comb(p - 1, d) for p in primes)
     if total > budget:
         raise BudgetExceededError(total, budget)
-    if exact and d >= 1:
+    if exact:
         # each class graph has p vertices, and primes p <= d have no class
         _check_exact_cap([p for p in primes if p > d], cap)
     batches = []

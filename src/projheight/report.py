@@ -56,10 +56,6 @@ def cell(value: object) -> str:
     return str(value)
 
 
-# Up to this many rows, deciding each column costs more than writing its cells one by one
-_FEW_ROWS = 8
-
-
 def _kinds(record: OutputRecord) -> list[type | None]:
     """Each column's type where its values are all exactly int (not bool) or all exactly str.
 
@@ -76,21 +72,17 @@ def _columns(record: OutputRecord) -> tuple[list[type | None], list[Sequence]]:
 
 def render_csv(record: OutputRecord) -> str:
     # the csv module quotes a field that holds a comma, a quote or a line break,
-    # and the one field of a row when it is empty; other rows are joined directly
-    if record.values and len(record.values[0]) > _FEW_ROWS:
-        kinds, columns = _columns(record)
-        strings = [record.columns] + [v for kind, v in zip(kinds, columns) if kind is not int]
-        blob = "".join(chain.from_iterable(strings))
-        if not any(ch in blob for ch in ',"\r\n') and (len(columns) > 1 or all(chain(*strings))):
-            lines = map(",".join(["%s"] * len(columns)).__mod__, zip(*columns))
-            return "\n".join(chain((",".join(record.columns),), lines)) + "\n"
-    rows = list(zip(*record.values))
-    if not {*map(type, chain.from_iterable(rows))} <= {int, str, type(None)}:
-        rows = [list(map(cell, row)) for row in rows]  # csv writes None as cell() does, not bools
+    # and the one field of a row when it is empty; without those the rows are joined directly
+    kinds, columns = _columns(record)
+    strings = [record.columns] + [v for kind, v in zip(kinds, columns) if kind is not int]
+    blob = "".join(chain.from_iterable(strings))
+    if not any(ch in blob for ch in ',"\r\n') and (len(columns) > 1 or all(chain(*strings))):
+        lines = map(",".join(["%s"] * len(columns)).__mod__, zip(*columns))
+        return "\n".join(chain((",".join(record.columns),), lines)) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(record.columns)
-    writer.writerows(rows)
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 
@@ -141,11 +133,7 @@ def render_text(record: OutputRecord) -> str:
             for name, kind, v in zip(names[:-1], kinds, columns)
         ]
         table = map("  ".join(pads + ["%s"]).__mod__, chain((names,), zip(*columns)))
-        # a line ends in whitespace only where its last cell is empty or ends in whitespace
-        ends = {names[-1], *(columns[-1] if kinds[-1] is not int else ())}
-        if any(not s or s[-1].isspace() for s in ends):
-            table = map(str.rstrip, table)
-        lines += table
+        lines += map(str.rstrip, table)
     if record.summary:
         lines.append("")
         for key in sorted(record.summary):

@@ -303,6 +303,12 @@ class TestScanCommand:
         code, _, err = run(["scan", "--pmax", "23", "-d", "3", "--budget", "10"], capsys)
         assert code == EXIT_LIMIT and "error:" in err
 
+    @pytest.mark.parametrize("argv", [["--pmax", "7", "-d", "-1"], ["--pmax", "2", "-d", "0"]])
+    def test_d_below_one_refused_before_pricing(self, argv, capsys):
+        code, out, err = run(["scan", *argv], capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: connection sets need d >= 1\n"
+
     def test_violation_exit_code(self, capsys, monkeypatch):
         row = BetaReport(
             graph=CayleyGraph(7, (1, 2)),

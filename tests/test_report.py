@@ -9,7 +9,6 @@ import pytest
 
 from projheight.cli import build_parser, cmd_table
 from projheight.report import (
-    _FEW_ROWS,
     OutputRecord,
     cell,
     render,
@@ -98,6 +97,14 @@ SYNTHETIC = {
     "single_none_column": record(("e",), [(None,), ("",), (None,)]),
     "no_rows": record(("a", "b"), []),
     "no_rows_no_summary": record(("a",), [], parameters={}, summary={}),
+    "no_columns": record((), []),
+    "height_shaped": record(
+        (
+            "p", "point", "d_star", "height", "argmin_k",
+            "method", "rule", "bound_average", "bound_direct", "bound_complement",
+        ),
+        [(11, "1:7:8", 3, 10, 2, None, None, 16, 12, None)],
+    ),
     "unsorted_columns": record(
         ("p", "a", "height", "argmin_k", "method"), [(5, 2, 3, 1, "formula")]
     ),
@@ -140,10 +147,22 @@ def test_synthetic_records(name, new, old):
 @pytest.mark.parametrize("name", sorted(SYNTHETIC))
 @pytest.mark.parametrize("new,old", RENDERERS, ids=["text", "csv", "json"])
 def test_synthetic_records_past_few_rows(name, new, old):
-    # csv writes up to _FEW_ROWS rows one by one, and decides column by column past that
+    # each renderer takes one path at any row count; nine copies of each row check a taller record
     rec = SYNTHETIC[name]
-    tall = replace(rec, values=tuple(list(v) * (_FEW_ROWS + 1) for v in rec.values))
+    tall = replace(rec, values=tuple(list(v) * 9 for v in rec.values))
     assert new(tall) == old(tall)
+
+
+def assert_same_text(new, old, label):
+    """new == old, failing fast: pytest's own diff of two multi-MB strings runs for minutes."""
+    if new == old:
+        return
+    at = next((i for i, (a, b) in enumerate(zip(new, old)) if a != b), min(len(new), len(old)))
+    near = slice(max(at - 150, 0), at + 150)
+    pytest.fail(
+        f"{label}: lengths {len(new)} and {len(old)}, first difference at offset {at}:\n"
+        f"{new[near]!r}\n{old[near]!r}"
+    )
 
 
 def test_full_table_record():
@@ -151,7 +170,7 @@ def test_full_table_record():
     rec = cmd_table(args)
     assert len(rec.rows) == 75624
     for fmt, (_, old) in zip(("text", "csv", "json"), RENDERERS):
-        assert render(rec, fmt) == old(rec), fmt
+        assert_same_text(render(rec, fmt), old(rec), fmt)
 
 
 def test_record_needs_one_sequence_per_column():
