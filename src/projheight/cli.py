@@ -230,14 +230,16 @@ def cmd_spectrum(args: argparse.Namespace) -> OutputRecord:
 
 
 def cmd_gaps(args: argparse.Namespace) -> OutputRecord:
-    if args.pmin > args.pmax:
+    # an omitted --pmin is the least odd prime, and is never refused
+    if args.pmin is not None and args.pmin > args.pmax:
         raise ValueError("--pmin must not exceed --pmax")
-    primes = [p for p in primes_up_to(args.pmax) if p > 2 and p >= args.pmin]
+    pmin = 3 if args.pmin is None else args.pmin
+    primes = [p for p in primes_up_to(args.pmax) if p > 2 and p >= pmin]
     # the largest prime first, so gap_scan refuses before any table is built
     reports = [gap_scan(p, args.r, args.c) for p in reversed(primes)][::-1]
     return OutputRecord(
         command="gaps",
-        parameters={"pmin": args.pmin, "pmax": args.pmax, "r": args.r, "c": str(args.c)},
+        parameters={"pmin": pmin, "pmax": args.pmax, "r": args.r, "c": str(args.c)},
         columns=("p", "r", "c", "window_lo", "window_hi", "empty", "inside"),
         values=(
             [g.p for g in reports],
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectrum.set_defaults(func=cmd_spectrum)
 
     p_gaps = sub.add_parser("gaps", help="rational window scan over line heights")
-    p_gaps.add_argument("--pmin", type=int, default=3, help="smallest prime")
+    p_gaps.add_argument("--pmin", type=int, help="smallest prime (default 3)")
     p_gaps.add_argument("--pmax", type=int, required=True, help="largest prime")
     p_gaps.add_argument("--r", type=int, default=1, help="window index r")
     p_gaps.add_argument(

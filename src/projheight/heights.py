@@ -24,13 +24,16 @@ DEFAULT_POINT_BUDGET = 5_000_000
 # 2 MiB per int64 block. On a 2-vCPU VM 2**20 (8 MiB) made the peak RSS of the
 # point-heights benchmark jump between about 57 and 65 MB with allocation
 # history and took spectrum(199, 3) from 0.138 to 0.148 s; 2**21 took two
-# spectra from 54 to 78 MB. Line points go through the sail, not blocks.
+# spectra from 54 to 78 MB. Line points go through the sail, not blocks. A
+# lattice triangle of more points than this goes to the blocked scan.
 _BLOCK_CELLS = 1 << 18
 # The first block of a row group is 4096 multipliers wide (fewer if the cells
-# or the bound allow fewer). Over 200 seeded d = 3 points (p in [10^6, 2*10^6],
-# mean height 23,000) the bound-capped scan took 4.8 blocks per point from 1024,
-# 3.1 from 4096 and 1.7 from 16384, reading 22,500, 22,800 and 23,800
-# multipliers; at d = 4 (p in [10^5, 2*10^5]) 16384 read 14 % more than 4096.
+# or the bound allow fewer). It was chosen on single d = 3 and d = 4 points at
+# large p, which now take the lattice path: heights_of scans only rows whose
+# guessed ceiling is at most this width, so such a row expects its height in
+# the first block. The scan still serves those rows (spectrum orbits, small
+# p), the rows whose lattice triangle is too large (zero-sum rows, which read
+# every multiplier), and minimizers_of at the fixed ceiling h + 1.
 _FIRST_WIDTH = 4096
 # No block is narrower than 64 multipliers: a batch of more rows than
 # _BLOCK_CELLS // 64 = 4096 is scanned in equal row groups of at most that many.
@@ -41,6 +44,12 @@ _FIRST_WIDTH = 4096
 # 10-13 ms; 128 made four groups there, which read 1.05 million cells, not
 # 0.64 million, in 22 ms.
 _MIN_WIDTH = 64
+# A row with n nonzero tails expects one k with k + (its n residues) < B at
+# B = ((n + 1)! * p^n)^(1/(n + 1)), the volume argument for n + 1 uniform
+# residues. At d = 3 and p near 1.5*10^6 that is 23,800 against a mean height
+# of 23,200, so the lattice path's first ceiling is 1.3 times it, which
+# expects 1.3^(n + 1) solutions.
+_GUESS_FACTOR = 1.3
 
 
 class BudgetExceededError(Exception):
@@ -112,17 +121,135 @@ def heights_of(tails: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Heights and smallest argmin multipliers of the points <1, t>, one row t of int64 tails each.
 
     A row with at most one nonzero is a line point <1, a>, and the Klein sail
-    gives it in O(log p) (_sail_heights); every other row goes through the
-    blocked scan (_blocked_heights). Both keep the least k on ties.
+    gives it in O(log p) (_sail_heights). A row with more nonzeros whose
+    guessed ceiling (_guesses) is wider than the scan's first block goes
+    through its 2-D lattice, one row at a time (_lattice_height); every other
+    row goes through the blocked scan (_blocked_heights). All keep the least k
+    on ties.
     """
     heights = np.empty(len(tails), dtype=np.int64)
     argmins = np.empty(len(tails), dtype=np.int64)
-    line = np.count_nonzero(tails, axis=1) <= 1
+    nonzeros = np.count_nonzero(tails, axis=1)
+    line = nonzeros <= 1
     if line.any():
         heights[line], argmins[line] = _sail_heights(tails[line].sum(axis=1), p)
-    if not line.all():
-        heights[~line], argmins[~line] = _blocked_heights(tails[~line], p)
+    if line.all():
+        return heights, argmins
+    guesses = _guesses(tails, nonzeros, p)
+    lattice = ~line & (guesses > _FIRST_WIDTH)
+    for row in np.flatnonzero(lattice).tolist():
+        heights[row], argmins[row] = _lattice_height(tails[row], p, int(guesses[row]))
+    scan = ~(line | lattice)
+    if scan.any():
+        heights[scan], argmins[scan] = _blocked_heights(tails[scan], p)
     return heights, argmins
+
+
+def _guesses(tails: np.ndarray, nonzeros: np.ndarray, p: int) -> np.ndarray:
+    """G = min(U + 1, ceil(1.3 * ((n + 1)! * p^n)^(1/(n + 1)))) per row of n nonzeros.
+
+    U = 1 + sum(t) is the sum at k = 1, so h < U + 1; the other term is where
+    about 1.3^(n + 1) multipliers are expected below it (_GUESS_FACTOR).
+    """
+    expect = [
+        math.ceil(_GUESS_FACTOR * math.exp((math.lgamma(n + 2) + n * math.log(p)) / (n + 1)))
+        for n in range(tails.shape[1] + 1)
+    ]
+    return np.minimum(tails.sum(axis=1) + 2, np.array(expect, dtype=np.int64)[nonzeros])
+
+
+def _lattice_height(tail: np.ndarray, p: int, guess: int) -> tuple[int, int]:
+    """Height and least argmin of one point <1, t> of two or more nonzero tails, from a 2-D lattice.
+
+    Each of the n nonzero residues of k*t is at least 1, so a k whose sum is
+    below B has k + (k*a mod p) <= B - n for the first nonzero tail a: the
+    point (k, k*a mod p) of the lattice {(x, y) : y = a*x mod p} lies in the
+    triangle x >= 1, y >= 0, x + y <= B - n, with x, y <= p - 1.
+    _triangle_multipliers lists those k in increasing order from the first
+    ceiling B = guess. If their least sum is below B, it is the height and its
+    first k the least argmin. Otherwise h <= that least sum (or U, the sum at
+    k = 1, if the triangle was empty), so a second round with B one above it
+    settles. A triangle of more than _BLOCK_CELLS points sends the row to the
+    blocked scan instead, with that same known ceiling.
+    """
+    tail = tail[tail != 0]
+    n = len(tail)
+    basis = _reduced_basis(int(tail[0]), p)
+    bound, known = guess, 1 + int(tail.sum())
+    while (ks := _triangle_multipliers(*basis, p, bound - n)) is not None:
+        if len(ks):
+            sums = _residue_sums(tail[None, :], ks, p)[0]
+            arg = int(sums.argmin())
+            if sums[arg] < bound:
+                return int(sums[arg]), int(ks[arg])
+            known = min(known, int(sums[arg]))
+        bound = known + 1
+    heights, argmins = _blocked_heights(tail[None, :], p, known + 1)
+    return int(heights[0]), int(argmins[0])
+
+
+def _reduced_basis(a: int, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """A Lagrange-reduced basis (u, v) of the lattice {(x, y) : y = a*x mod p}, with det(u, v) = p.
+
+    From (1, a), (0, p), v loses the multiple of u nearest to its projection,
+    and the two swap while v comes out shorter (Gauss-Lagrange; Cohen, A
+    Course in Computational Algebraic Number Theory). Then |u| <= |v| and
+    |u| <= (4p^2/3)^(1/4).
+    """
+    (ux, uy), (vx, vy) = (1, a), (0, p)
+    while True:
+        uu = ux * ux + uy * uy
+        m = (2 * (ux * vx + uy * vy) + uu) // (2 * uu)
+        vx, vy = vx - m * ux, vy - m * uy
+        if vx * vx + vy * vy >= uu:
+            break
+        (ux, uy), (vx, vy) = (vx, vy), (ux, uy)
+    if ux * vy - uy * vx < 0:
+        vx, vy = -vx, -vy
+    return (ux, uy), (vx, vy)
+
+
+def _triangle_multipliers(
+    u: tuple[int, int], v: tuple[int, int], p: int, top: int
+) -> np.ndarray | None:
+    """The sorted x of the points i*u + j*v with x >= 1, y >= 0, x + y <= top and x, y <= p - 1.
+
+    (u, v) is a basis with det(u, v) = p, so j = det(u, P) / p is linear in
+    P, and the j of the triangle lie between those of its corners. On the
+    line j, each half-plane alpha*x + beta*y <= gamma bounds i by an exact
+    floor or ceiling division, or holds or fails for the whole line when u is
+    parallel to its edge. Returns None, before expanding, when there are more
+    lines or points than _BLOCK_CELLS.
+    """
+    (ux, uy), (vx, vy) = u, v
+    dets = [ux * y - uy * x for x, y in ((1, 0), (top, 0), (1, top - 1))]
+    js = np.arange(-(-min(dets) // p), max(dets) // p + 1, dtype=np.int64)
+    if len(js) > _BLOCK_CELLS:
+        return None
+    edges = [(-1, 0, -1), (0, -1, 0), (1, 1, top)]
+    if top >= p:  # else x + y <= top already keeps x and y below p
+        edges += [(1, 0, p - 1), (0, 1, p - 1)]
+    lows, highs, holds = [], [], True
+    for alpha, beta, gamma in edges:
+        c = alpha * ux + beta * uy
+        r = gamma - js * (alpha * vx + beta * vy)
+        if c > 0:
+            highs.append(r // c)
+        elif c < 0:
+            lows.append(-(r // -c))
+        else:
+            holds = holds & (r >= 0)
+    # the triangle is bounded, so its edges give every line a low and a high
+    lo = np.maximum.reduce(lows)
+    counts = np.maximum(np.minimum.reduce(highs) - lo + 1, 0) * holds
+    total = int(counts.sum())
+    if total > _BLOCK_CELLS:
+        return None
+    starts = np.cumsum(counts) - counts
+    i = np.repeat(lo - starts, counts) + np.arange(total)
+    x = i * ux + np.repeat(js, counts) * vx
+    x.sort()
+    return x
 
 
 def _sail_heights(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,11 +289,11 @@ def _blocks(tails: np.ndarray, p: int, ceiling: np.ndarray):
     only while k + nonzeros < ceiling[row]; the caller may lower ceiling
     between blocks. A block covers at most _BLOCK_CELLS cells. Its width
     starts at _FIRST_WIDTH and doubles, but the block never passes p - 1 or
-    the last k that some live row still needs, ceiling - nonzeros - 1. That
-    bound cap took the multipliers read per d = 3 point (200 seeded points, p
-    in [10^6, 2*10^6], mean height 23,000) from 31,700 to 22,500 at the same
-    first width, and per d = 4 point (p in [10^5, 2*10^5]) from 24,300 to
-    16,100. More rows than _BLOCK_CELLS // _MIN_WIDTH are split into equal
+    the last k that some live row still needs, ceiling - nonzeros - 1: so
+    minimizers_of, at the fixed ceiling h + 1, reads no k past h - nonzeros.
+    (On single d = 3 and d = 4 points, which now take the lattice path, that
+    cap took the multipliers read from 31,700 to 22,500 and from 24,300 to
+    16,100.) More rows than _BLOCK_CELLS // _MIN_WIDTH are split into equal
     groups, each scanned from k = 1 on its own, so that no block is narrower
     than _MIN_WIDTH.
     """
@@ -184,14 +311,19 @@ def _blocks(tails: np.ndarray, p: int, ceiling: np.ndarray):
             live = live[k + floor[live] < ceiling[live]]
 
 
-def _blocked_heights(tails: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _blocked_heights(
+    tails: np.ndarray, p: int, ceiling: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """heights_of by scanning multipliers, for rows of any number of nonzeros.
 
     The scan walks _blocks with each row's best sum so far as its ceiling, so
     a row stops once k + (nonzeros of t) reaches its best. Only a strictly
-    smaller sum replaces the best, so ties keep the least k.
+    smaller sum replaces the best, so ties keep the least k. A given ceiling
+    must exceed every row's height; by default it is p * (columns + 1).
     """
-    heights = np.full(len(tails), p * (tails.shape[1] + 1), dtype=np.int64)
+    if ceiling is None:
+        ceiling = p * (tails.shape[1] + 1)
+    heights = np.full(len(tails), ceiling, dtype=np.int64)
     argmins = np.ones(len(tails), dtype=np.int64)
     for live, k, sums in _blocks(tails, p, heights):
         arg = sums.argmin(axis=1)

@@ -156,6 +156,23 @@ class TestGapsCommand:
         code, _, _ = run(["gaps", "--pmax", "11", "--r", "0"], capsys)
         assert code == EXIT_INPUT
 
+    def test_pmax_below_default_pmin_is_an_empty_table(self, capsys):
+        # --pmin was not given, so --pmax 2 is not refused for exceeding it
+        code, out, err = run(["gaps", "--pmax", "2", "--format", "json"], capsys)
+        assert code == EXIT_OK and err == ""
+        payload = json.loads(out)
+        assert payload["rows"] == [] and payload["parameters"]["pmin"] == 3
+        assert payload["summary"] == {"primes": 0, "windows_all_empty": True}
+        code, explicit, _ = run(["gaps", "--pmin", "2", "--pmax", "2"], capsys)
+        assert code == EXIT_OK
+        code, implicit, _ = run(["gaps", "--pmax", "2"], capsys)
+        assert implicit == explicit.replace("# pmin = 2", "# pmin = 3")
+
+    def test_explicit_pmin_above_pmax(self, capsys):
+        code, out, err = run(["gaps", "--pmin", "5", "--pmax", "3"], capsys)
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: --pmin must not exceed --pmax\n"
+
     def test_limit_refused_before_any_table(self, capsys, monkeypatch):
         def no_table(p):
             raise AssertionError("a line table was built before the budget check")

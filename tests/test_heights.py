@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from projheight import heights, modular
-from projheight.cayley import CayleyGraph, is_triangle_free
+from projheight.cayley import CayleyGraph, beta_upper, is_triangle_free
 from projheight.heights import (
     BudgetExceededError,
     check_scan_budget,
@@ -286,8 +286,19 @@ class TestKernelBlockEdges:
             assert (rec.height, rec.argmin_k) == pruned_line_record(a, p), a
 
 
+def seeded_points(rng, d, lo, hi, count):
+    """count (p, tails) of d - 1 nonzero tails, p a random prime in [lo, hi)."""
+    points = []
+    while len(points) < count:
+        p = rng.randrange(lo, hi)
+        if is_prime(p):
+            tails = np.array([[rng.randrange(1, p) for _ in range(d - 1)]], dtype=np.int64)
+            points.append((p, tails))
+    return points
+
+
 def test_scan_stops_at_each_rows_bound(monkeypatch):
-    # single d = 3 and d = 4 points at p near 10^6 and 10^5, as `height` scans them
+    # single d = 3 and d = 4 points at p near 10^6 and 10^5, through the scan itself
     reads = []
     residue_sums = heights._residue_sums
 
@@ -303,7 +314,7 @@ def test_scan_stops_at_each_rows_bound(monkeypatch):
         for p in [q for q in range(lo, lo + 400) if is_prime(q)][:10]:
             tails = np.array([[rng.randrange(1, p) for _ in range(d - 1)]], dtype=np.int64)
             reads.clear()
-            h = int(heights.heights_of(tails, p)[0][0])
+            h = int(heights._blocked_heights(tails, p)[0][0])
             assert h == brute_sums(tails, p).min(), (p, tails)
             # a block after the first ends before k + nonzeros reaches the best so far
             best = p * d
@@ -314,6 +325,35 @@ def test_scan_stops_at_each_rows_bound(monkeypatch):
             allowed += reads[0][1] + h - (d - 1)
     # together the points read no more than their first blocks plus every h - nonzeros
     assert read <= allowed
+
+
+def test_single_point_settled_by_the_lattice_reads_no_scan_block(monkeypatch):
+    blocks, rounds = [], []
+    scan, triangle = heights._blocks, heights._triangle_multipliers
+
+    def block_spy(*args):
+        for block in scan(*args):
+            blocks.append(block)
+            yield block
+
+    def round_spy(*args):
+        rounds.append(args)
+        return triangle(*args)
+
+    monkeypatch.setattr(heights, "_blocks", block_spy)
+    monkeypatch.setattr(heights, "_triangle_multipliers", round_spy)
+    settled = 0
+    for p, tails in seeded_points(random.Random(19), 3, 10**6, 10**6 + 10**4, 10):
+        blocks.clear()
+        rounds.clear()
+        got = [int(x[0]) for x in heights.heights_of(tails, p)]
+        sums = brute_sums(tails, p)[0]
+        assert got == [sums.min(), sums.argmin() + 1], (p, tails)
+        assert rounds, (p, tails)
+        if len(rounds) == 1:
+            settled += 1
+            assert blocks == [], (p, tails)
+    assert settled >= 5
 
 
 def test_line_height_table_has_no_cap():
@@ -387,6 +427,180 @@ class TestSail:
         got = heights.heights_of(tails, p)
         want = heights._blocked_heights(tails, p)
         assert [x.tolist() for x in got] == [x.tolist() for x in want]
+
+
+def brute_records(tails, p):
+    """[heights, least argmins] of the rows <1, t>, by the defining minimum."""
+    sums = brute_sums(tails, p)
+    return [sums.min(axis=1).tolist(), (sums.argmin(axis=1) + 1).tolist()]
+
+
+def kernel_records(tails, p):
+    """[heights, argmins] of the rows <1, t>, from heights_of."""
+    return [x.tolist() for x in heights.heights_of(tails, p)]
+
+
+def triangle_oracle(a, p, top):
+    """Every k in 1..p-1 with k + (k*a mod p) <= top, ascending."""
+    return [k for k in range(1, p) if k + k * a % p <= top]
+
+
+class TestLattice:
+    """The 2-D lattice path of rows with two or more nonzeros, against brute minima and the scan."""
+
+    @pytest.fixture
+    def routed(self, monkeypatch):
+        """The rows that heights_of sends through _lattice_height, in order."""
+        rows = []
+        lattice_height = heights._lattice_height
+
+        def spy(tail, p, guess):
+            rows.append(tail.tolist())
+            return lattice_height(tail, p, guess)
+
+        monkeypatch.setattr(heights, "_lattice_height", spy)
+        return rows
+
+    @pytest.fixture
+    def forced(self, monkeypatch, routed):
+        # every guess exceeds 0, so every row with two or more nonzeros takes the path
+        monkeypatch.setattr(heights, "_FIRST_WIDTH", 0)
+        return routed
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 10007, 2**31 - 1])
+    def test_reduced_basis(self, p):
+        rng = random.Random(p)
+        for a in range(1, p) if p < 100 else [1, 2, p - 1, p - 2, *rng.sample(range(1, p), 200)]:
+            (ux, uy), (vx, vy) = heights._reduced_basis(a, p)
+            assert (uy - a * ux) % p == 0 and (vy - a * vx) % p == 0, (p, a)
+            assert ux * vy - uy * vx == p, (p, a)
+            uu, vv, uv = ux * ux + uy * uy, vx * vx + vy * vy, ux * vx + uy * vy
+            # Lagrange-reduced, so |u| is within the Hermite bound (4p^2/3)^(1/4)
+            assert uu <= vv and 2 * abs(uv) <= uu and 3 * uu * uu <= 4 * p * p, (p, a)
+
+    def test_triangle_lists_every_multiplier(self):
+        for p in (3, 5, 7, 11, 13, 31):
+            for a in range(1, p):
+                basis = heights._reduced_basis(a, p)
+                # tops from an empty triangle to one past every x, y <= p - 1
+                for top in range(-1, 2 * p + 1):
+                    got = heights._triangle_multipliers(*basis, p, top)
+                    assert got.tolist() == triangle_oracle(a, p, top), (p, a, top)
+        rng = random.Random(3)
+        for a in rng.sample(range(1, 10007), 20):
+            basis = heights._reduced_basis(a, 10007)
+            for top in (2, 150, 3000, 10006, 10007, 15000, 20013):
+                got = heights._triangle_multipliers(*basis, 10007, top)
+                assert got.tolist() == triangle_oracle(a, 10007, top), (a, top)
+
+    def test_triangle_refuses_past_the_cells(self, monkeypatch):
+        monkeypatch.setattr(heights, "_BLOCK_CELLS", 8)
+        refused = 0
+        for a in range(1, 31):
+            for top in range(1, 62):
+                got = heights._triangle_multipliers(*heights._reduced_basis(a, 31), 31, top)
+                want = triangle_oracle(a, 31, top)
+                if got is None:
+                    refused += 1
+                    assert len(want) > 8, (a, top)
+                else:
+                    assert got.tolist() == want, (a, top)
+        assert refused > 100
+
+    def test_every_plane_orbit_to_31(self, forced):
+        ties = 0
+        for p in primes_up_to(31)[1:]:
+            tails = heights._orbits(p, 3)[0]
+            forced.clear()
+            assert kernel_records(tails, p) == brute_records(tails, p), p
+            assert len(forced) == len(tails), p
+            sums = brute_sums(tails, p)
+            ties += int(((sums == sums.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+        assert ties >= 30
+
+    @pytest.mark.parametrize("p", [13, 101, 401, 10007])
+    def test_seeded_rows_with_zeros(self, p, forced):
+        # 2 to 4 nonzeros among 5 places (d = 3 to 5)
+        for seed in range(3):
+            tails = mixed_tails(p, 100 * p + seed)
+            assert kernel_records(tails, p) == brute_records(tails, p)
+        assert len(forced) == 72
+
+    @pytest.mark.parametrize("cells", [16, 1 << 18])
+    @pytest.mark.parametrize("p", [11, 31, 101, 1009])
+    def test_zero_sum_rows(self, p, cells, forced, monkeypatch):
+        # h >= p, so a second round's triangle may pass x = p - 1 or y = p - 1,
+        # where only the clip keeps k below p; with 16 cells most rows fall back
+        monkeypatch.setattr(heights, "_BLOCK_CELLS", cells)
+        tails = np.array(
+            [[2, p - 3, 0], [1, p - 2, 0], [1, 1, p - 2], [3, 5, p - 8], [5, p - 5, 7]]
+            + [[p - 1, p - 1, 2]],
+            dtype=np.int64,
+        )
+        got = kernel_records(tails, p)
+        assert got == brute_records(tails, p)
+        assert all(h >= p for h in got[0][:5])
+
+    def test_ties_keep_the_least_k(self, forced):
+        rng = random.Random(23)
+        for p in (31, 101, 199):
+            rows = [[rng.randrange(1, p) for _ in range(rng.randrange(2, 4))] for _ in range(3000)]
+            tails = np.array([r + [0] * (3 - len(r)) for r in rows], dtype=np.int64)
+            sums = brute_sums(tails, p)
+            tied = tails[(sums == sums.min(axis=1, keepdims=True)).sum(axis=1) > 1]
+            assert len(tied) > 15, p
+            assert kernel_records(tied, p) == brute_records(tied, p), p
+
+    def test_small_cells_fall_back_to_the_scan(self, forced, monkeypatch):
+        monkeypatch.setattr(heights, "_BLOCK_CELLS", 16)
+        ceilings = []
+        blocked_heights = heights._blocked_heights
+
+        def spy(tails, p, ceiling=None):
+            ceilings.append(ceiling)
+            return blocked_heights(tails, p, ceiling)
+
+        monkeypatch.setattr(heights, "_blocked_heights", spy)
+        for p in (101, 10007):
+            tails = mixed_tails(p, p + 1)
+            assert kernel_records(tails, p) == brute_records(tails, p), p
+        # each row that fell back was scanned below a known upper bound of its height
+        assert len(ceilings) > 10 and None not in ceilings
+
+    def test_matches_the_scan_unforced(self, routed):
+        rng = random.Random(24)
+        points = (
+            seeded_points(rng, 3, 10**6, 2 * 10**6, 150)
+            + seeded_points(rng, 4, 10**5, 2 * 10**5, 150)
+            + seeded_points(rng, 3, 2**31 - 10**6, 2**31 - 1, 8)
+        )
+        for p, tails in points:
+            got = heights.heights_of(tails, p)
+            want = heights._blocked_heights(tails, p)
+            assert [x.tolist() for x in got] == [x.tolist() for x in want], (p, tails)
+        # every one of these guesses past the first block, so all took the path
+        assert len(routed) == len(points)
+
+    def test_zero_sum_rounds_stay_within_the_cells(self, routed, monkeypatch):
+        # {1, 2, p - 3} sums to 0: h = p, and the second triangle holds about p/3 points
+        rounds = []
+        triangle = heights._triangle_multipliers
+
+        def spy(u, v, p, top):
+            got = triangle(u, v, p, top)
+            rounds.append((top, None if got is None else len(got)))
+            return got
+
+        monkeypatch.setattr(heights, "_triangle_multipliers", spy)
+        p = 1000003
+        assert beta_upper(CayleyGraph(p, (1, 2, p - 3))) == (p, 1)
+        assert routed == [[2, p - 3]]
+        assert all(n is None or n <= heights._BLOCK_CELLS for _, n in rounds)
+        # the refused round is the second, and its triangle is truly over the cells
+        (_, first), (top, second) = rounds
+        assert first is not None and second is None
+        k = np.arange(1, p)
+        assert np.count_nonzero(k + 2 * k % p <= top) > heights._BLOCK_CELLS
 
 
 def test_line_bound_certificates():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from projheight import modular
 from projheight.modular import (
     MAX_MODULUS,
     PrimeModulus,
@@ -31,6 +32,22 @@ def test_is_prime_basics():
     assert is_prime(2**31 - 1)
     with pytest.raises(ValueError):
         is_prime(1)
+
+
+def test_is_prime_small_base_set_limit():
+    # 3215031751 = 151 * 751 * 28351 is the least strong pseudoprime to the
+    # bases 2, 3, 5 and 7 together, so those four decide only below it
+    assert not is_prime(3215031751)
+    assert modular._strong_probable_prime(3215031751, modular._SMALL_BASES)
+    assert modular._SMALL_BASES == (2, 3, 5, 7) and modular._SMALL_BASES_BELOW == 3215031751
+    # 25326001 = 2251 * 11251 passes the bases 2, 3 and 5; base 7 finds it
+    assert not is_prime(25326001)
+    assert modular._strong_probable_prime(25326001, (2, 3, 5))
+
+
+def test_is_prime_matches_sieve_to_1e5():
+    primes = set(primes_up_to(10**5))
+    assert [n for n in range(2, 10**5 + 1) if is_prime(n)] == sorted(primes)
 
 
 def test_primes_up_to():
