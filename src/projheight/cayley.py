@@ -177,9 +177,9 @@ def beta_upper(G: CayleyGraph) -> tuple[int, int]:
     Ordering k has sum_a (k^-1 * a mod p) backward edges: the sum of the
     canonical point <A/a_1> at multiplier v = a_1 * k^-1. So the value is its
     height h, and the witness, the smallest k attaining it, is the least
-    a_1 * v^-1 mod p over the minimizers v, all of which have v <= h - d + 1.
-    A line point has one minimizer, from the sail in O(log p); any other point
-    costs O(h*d), not O(p*d).
+    a_1 * v^-1 mod p over the minimizers v, which heights.minimizers_of lists,
+    all with v <= h - d + 1. A line point's one minimizer comes from the sail
+    in O(log p); any other point costs O(h*d), not O(p*d).
     """
     return _upper_bounds(G.modulus, [G.A])[0]
 
@@ -190,12 +190,6 @@ def _upper_bounds(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[tup
     A digon {a, p-a} in A adds exactly p at every multiplier, so it is dropped
     first: h(A) = p*#digons + h(rest), with the rest's witness, or 1 when the
     rest is empty. The dropped places in the tails are left as zeros.
-
-    A tail with at most one nonzero b is a line point <1, b>, and b != p-1, as
-    that would be a digon. Its minimizer is unique: if k1 < k2 both attain the
-    least k + (k*b mod p), then k2 - k1 = y1 - y2 = -(k2 - k1)*b mod p, so
-    b = p-1. So its witness comes from heights_of's argmin, and only the other
-    tails list their tied minimizers with minimizers_of.
     """
     p = pm.p
     A = np.array(sets, dtype=np.int64)
@@ -204,26 +198,20 @@ def _upper_bounds(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[tup
     order = np.argsort(paired, axis=1, kind="stable")
     rest = np.take_along_axis(np.where(paired, 0, A), order, axis=1)
     heights = p * paired.sum(axis=1) // 2
-    witness = [p if a else 1 for a in rest[:, 0].tolist()]
+    witness = np.where(rest[:, 0] == 0, 1, p)
     live = np.flatnonzero(rest[:, 0])
     if live.size:
-        lead = rest[live, 0].tolist()
-        tails = rest[live, 1:] * np.array([pow(a, -1, p) for a in lead])[:, None] % p
+        lead = rest[live, 0]
+        tails = rest[live, 1:] * np.array([pow(a, -1, p) for a in lead.tolist()])[:, None] % p
         # listed lazily, as check_scan_budget reads one row when m * (p - 1) fits
         rows = zip(map(np.ndarray.tolist, tails), map(np.ndarray.tolist, rest[live]))
         check_scan_budget(rows, p, DEFAULT_POINT_BUDGET)
-        rest_heights, argmins = heights_of(tails, p)
+        rest_heights = heights_of(tails, p)[0]
         heights[live] += rest_heights
-        line = np.count_nonzero(tails, axis=1) <= 1
-        minimizers = list(zip(np.flatnonzero(line).tolist(), argmins[line].tolist()))
-        other = np.flatnonzero(~line).tolist()
-        if other:
-            found = minimizers_of(tails[other], p, rest_heights[other]).tolist()
-            minimizers += [(other[row], v) for row, v in found]
-        for row, v in minimizers:
-            n = live[row]
-            witness[n] = min(witness[n], lead[row] * pow(v, -1, p) % p)
-    return list(zip(heights.tolist(), witness))
+        row, v = minimizers_of(tails, p, rest_heights).T
+        inverse = map(pow, v.tolist(), itertools.repeat(-1), itertools.repeat(p))
+        np.minimum.at(witness, live[row], lead[row] * np.fromiter(inverse, np.int64, len(v)) % p)
+    return list(zip(heights.tolist(), witness.tolist()))
 
 
 @dataclass(frozen=True)
@@ -509,7 +497,8 @@ def _audit(
     uppers = _upper_bounds(pm, [G.A for G in graphs])
     limit = min(cap, DP_CEILING)
     for G, (upper, witness_k), girth in zip(graphs, uppers, girths):
-        triangle = is_triangle_free(G)
+        # A holds no 0, so a girth above 3 leaves no zero-sum multiset of 2 or 3 elements
+        triangle = None if girth is not None and girth > 3 else is_triangle_free(G)
         g = gamma(G)
         exact_beta = None
         if exact:

@@ -28,12 +28,12 @@ DEFAULT_POINT_BUDGET = 5_000_000
 # lattice triangle of more points than this goes to the blocked scan.
 _BLOCK_CELLS = 1 << 18
 # The first block of a row group is 4096 multipliers wide (fewer if the cells
-# or the bound allow fewer). It was chosen on single d = 3 and d = 4 points at
-# large p, which now take the lattice path: heights_of scans only rows whose
-# guessed ceiling is at most this width, so such a row expects its height in
-# the first block. The scan still serves those rows (spectrum orbits, small
-# p), the rows whose lattice triangle is too large (zero-sum rows, which read
-# every multiplier), and minimizers_of at the fixed ceiling h + 1.
+# or the bound allow fewer). heights_of scans only rows whose guessed ceiling
+# is at most this width, so such a row expects its height in the first block;
+# a row guessed wider takes the lattice path. The scan serves those rows
+# (spectrum orbits, small p), the rows whose lattice triangle is too large
+# (zero-sum rows, which read every multiplier), and minimizers_of at the fixed
+# ceiling h + 1.
 _FIRST_WIDTH = 4096
 # No block is narrower than 64 multipliers: a batch of more rows than
 # _BLOCK_CELLS // 64 = 4096 is scanned in equal row groups of at most that many.
@@ -167,10 +167,11 @@ def _lattice_height(tail: np.ndarray, p: int, guess: int) -> tuple[int, int]:
     triangle x >= 1, y >= 0, x + y <= B - n, with x, y <= p - 1.
     _triangle_multipliers lists those k in increasing order from the first
     ceiling B = guess. If their least sum is below B, it is the height and its
-    first k the least argmin. Otherwise h <= that least sum (or U, the sum at
-    k = 1, if the triangle was empty), so a second round with B one above it
-    settles. A triangle of more than _BLOCK_CELLS points sends the row to the
-    blocked scan instead, with that same known ceiling.
+    first k the least argmin. Otherwise h <= that least sum, so a round with B
+    one above it settles. An empty triangle (a skewed lattice) doubles B, up
+    to U + 1 for U the sum at k = 1, whose triangle holds k = 1. A triangle of
+    more than _BLOCK_CELLS points sends the row to the blocked scan instead,
+    below the least sum known (or U) plus one.
     """
     tail = tail[tail != 0]
     n = len(tail)
@@ -183,7 +184,7 @@ def _lattice_height(tail: np.ndarray, p: int, guess: int) -> tuple[int, int]:
             if sums[arg] < bound:
                 return int(sums[arg]), int(ks[arg])
             known = min(known, int(sums[arg]))
-        bound = known + 1
+        bound = known + 1 if len(ks) else min(2 * bound, known + 1)
     heights, argmins = _blocked_heights(tail[None, :], p, known + 1)
     return int(heights[0]), int(argmins[0])
 
@@ -291,9 +292,7 @@ def _blocks(tails: np.ndarray, p: int, ceiling: np.ndarray):
     starts at _FIRST_WIDTH and doubles, but the block never passes p - 1 or
     the last k that some live row still needs, ceiling - nonzeros - 1: so
     minimizers_of, at the fixed ceiling h + 1, reads no k past h - nonzeros.
-    (On single d = 3 and d = 4 points, which now take the lattice path, that
-    cap took the multipliers read from 31,700 to 22,500 and from 24,300 to
-    16,100.) More rows than _BLOCK_CELLS // _MIN_WIDTH are split into equal
+    More rows than _BLOCK_CELLS // _MIN_WIDTH are split into equal
     groups, each scanned from k = 1 on its own, so that no block is narrower
     than _MIN_WIDTH.
     """
@@ -336,13 +335,20 @@ def _blocked_heights(
 def minimizers_of(tails: np.ndarray, p: int, heights: np.ndarray) -> np.ndarray:
     """Every (row, k) whose sum is that row's height h, from heights_of(tails, p)[0].
 
-    Only k <= h - (nonzeros of t) can attain h, so the scan walks _blocks with
-    the fixed ceiling h + 1.
+    A line row <1, b> (at most one nonzero tail b) with b != p - 1 has one
+    minimizer: if k1 < k2 both attained the least k + (k*b mod p), then
+    k2 - k1 = y1 - y2 = -(k2 - k1)*b mod p, so b = p - 1. That minimizer is
+    the sail's argmin (_sail_heights). At b = p - 1 every k ties. Those rows
+    and all others are scanned: only k <= h - (nonzeros of t) can attain h, so
+    the scan walks _blocks with the fixed ceiling h + 1.
     """
-    found = []
-    for live, k, sums in _blocks(tails, p, heights + 1):
-        rows, ks = np.nonzero(sums == heights[live, None])
-        found.append(np.column_stack([live[rows], k + ks]))
+    b = tails.sum(axis=1)
+    line = (np.count_nonzero(tails, axis=1) <= 1) & (b != p - 1)
+    found = [np.column_stack([np.flatnonzero(line), _sail_heights(b[line], p)[1]])]
+    scan = np.flatnonzero(~line)
+    for live, k, sums in _blocks(tails[scan], p, heights[scan] + 1):
+        rows, ks = np.nonzero(sums == heights[scan[live], None])
+        found.append(np.column_stack([scan[live[rows]], k + ks]))
     return np.concatenate(found)
 
 

@@ -408,11 +408,17 @@ class TestBetaUpper:
                 sums = [k + k * b % p for k in range(1, p)]
                 assert sums.count(min(sums)) == 1, (p, b)
 
+    @pytest.mark.parametrize("A", [(1, 2, 1006), (3, 5, 1001), (1, 2, 3, 1003)])
+    def test_zero_sum_witness_among_many_ties(self, A):
+        # A sums to 0 mod 1009, so h >= p and hundreds of multipliers tie
+        assert beta_upper(CayleyGraph(1009, A)) == brute_upper(A, 1009)
+
     def test_line_witness_needs_no_rescan(self, monkeypatch):
         def no_rescan(*args, **kwargs):
-            raise AssertionError("minimizers_of ran on a line point")
+            raise AssertionError("a line point was scanned")
 
-        monkeypatch.setattr("projheight.cayley.minimizers_of", no_rescan)
+        # after digons are dropped every set below is a line point
+        monkeypatch.setattr("projheight.heights._residue_sums", no_rescan)
         assert beta_upper(CayleyGraph(2**31 - 1, (1, 2**30 - 1))) == (2**30, 1)
         for p in (13, 101):
             for A in [(3,), (1, 2), (2, 7), (1, 2, p - 2), (3, 4, p - 3)]:
@@ -748,6 +754,21 @@ class TestScanCss:
             for row in scan_css(p_max, d, exact=exact):
                 G = row.graph
                 assert row == replace(css_check(G, exact), shortest_cycle=shortest_cycle(G))
+
+    def test_triangle_freeness_read_from_the_girth(self, monkeypatch):
+        real = is_triangle_free
+        girths = []
+
+        def counting(G):
+            girths.append(shortest_cycle(G))
+            return real(G)
+
+        monkeypatch.setattr("projheight.cayley.is_triangle_free", counting)
+        for d in (1, 2, 3, 4):
+            for row in scan_css(19, d):
+                assert row.triangle_witness == real(row.graph), row.graph
+        # only graphs with a 2- or 3-cycle are searched for a zero-sum multiset
+        assert girths and max(girths) <= 3
 
     def test_empty_range(self):
         assert scan_css(2, 2) == ()

@@ -356,6 +356,32 @@ def test_single_point_settled_by_the_lattice_reads_no_scan_block(monkeypatch):
     assert settled >= 5
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 31])
+def test_line_minimizers_match_brute(p, monkeypatch):
+    # every b in [0, p - 1] in each of three places, and the all-zero row
+    tails = np.array(
+        [[0, 0, 0]] + [[b if i == j else 0 for j in range(3)] for b in range(p) for i in range(3)],
+        dtype=np.int64,
+    )
+    scanned = []
+    residue_sums = heights._residue_sums
+
+    def spy(rows, ks, q):
+        scanned.extend(rows.sum(axis=1).tolist())
+        return residue_sums(rows, ks, q)
+
+    monkeypatch.setattr(heights, "_residue_sums", spy)
+    hts = heights.heights_of(tails, p)[0]
+    sums = brute_sums(tails, p)
+    want = sorted(zip(*np.nonzero(sums == hts[:, None])))
+    got = heights.minimizers_of(tails, p, hts)
+    assert sorted((row, k - 1) for row, k in got.tolist()) == want
+    # b = p - 1 ties at every k; every other line row has one minimizer, from the sail
+    counts = np.bincount(got[:, 0], minlength=len(tails))
+    assert counts.tolist() == [p - 1 if t.sum() == p - 1 else 1 for t in tails]
+    assert scanned and set(scanned) == {p - 1}
+
+
 def test_line_height_table_has_no_cap():
     for p, spots in ((2239, (7, 1000, 2237)), (100003, (2, 316, 4567, 50001, 77777, 100001))):
         hts, ams = line_height_table(p)
@@ -580,6 +606,27 @@ class TestLattice:
             assert [x.tolist() for x in got] == [x.tolist() for x in want], (p, tails)
         # every one of these guesses past the first block, so all took the path
         assert len(routed) == len(points)
+
+    def test_empty_triangle_doubles_the_ceiling(self, routed, monkeypatch):
+        # a = 2000000 is about 2p/3, a skewed lattice: the first triangle is empty,
+        # and doubling its ceiling, not jumping to U + 1, keeps the row off the scan
+        def no_scan(*args, **kwargs):
+            raise AssertionError("the row fell back to the blocked scan")
+
+        rounds = []
+        triangle = heights._triangle_multipliers
+
+        def spy(u, v, p, top):
+            got = triangle(u, v, p, top)
+            rounds.append(None if got is None else len(got))
+            return got
+
+        monkeypatch.setattr(heights, "_blocked_heights", no_scan)
+        monkeypatch.setattr(heights, "_triangle_multipliers", spy)
+        rec = height(canonicalize((1, 2000000, 2500000), 3000017))
+        assert (rec.height, rec.argmin_k) == (176584, 176467)
+        assert routed == [[2000000, 2500000]]
+        assert rounds[0] == 0 and None not in rounds
 
     def test_zero_sum_rounds_stay_within_the_cells(self, routed, monkeypatch):
         # {1, 2, p - 3} sums to 0: h = p, and the second triangle holds about p/3 points
