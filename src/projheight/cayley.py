@@ -25,7 +25,6 @@ from .heights import (
     BudgetExceededError,
     check_scan_budget,
     heights_of,
-    minimizers_of,
 )
 from .modular import (
     PrimeModulus,
@@ -177,9 +176,9 @@ def beta_upper(G: CayleyGraph) -> tuple[int, int]:
     Ordering k has sum_a (k^-1 * a mod p) backward edges: the sum of the
     canonical point <A/a_1> at multiplier v = a_1 * k^-1. So the value is its
     height h, and the witness, the smallest k attaining it, is the least
-    a_1 * v^-1 mod p over the minimizers v, which heights.minimizers_of lists,
-    all with v <= h - d + 1. A line point's one minimizer comes from the sail
-    in O(log p); any other point costs O(h*d), not O(p*d).
+    a_1 * v^-1 mod p over the tied minimizers v, which heights_of(ties=True)
+    lists in the pass that finds h: a line point's one from the sail in
+    O(log p), a lattice point's from its last triangle, a scanned one's in O(h*d).
     """
     return _upper_bounds(G.modulus, [G.A])[0]
 
@@ -206,9 +205,9 @@ def _upper_bounds(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[tup
         # listed lazily, as check_scan_budget reads one row when m * (p - 1) fits
         rows = zip(map(np.ndarray.tolist, tails), map(np.ndarray.tolist, rest[live]))
         check_scan_budget(rows, p, DEFAULT_POINT_BUDGET)
-        rest_heights = heights_of(tails, p)[0]
+        rest_heights, _, minimizers = heights_of(tails, p, ties=True)
         heights[live] += rest_heights
-        row, v = minimizers_of(tails, p, rest_heights).T
+        row, v = minimizers.T
         inverse = map(pow, v.tolist(), itertools.repeat(-1), itertools.repeat(p))
         np.minimum.at(witness, live[row], lead[row] * np.fromiter(inverse, np.int64, len(v)) % p)
     return list(zip(heights.tolist(), witness.tolist()))

@@ -31,9 +31,8 @@ _BLOCK_CELLS = 1 << 18
 # or the bound allow fewer). heights_of scans only rows whose guessed ceiling
 # is at most this width, so such a row expects its height in the first block;
 # a row guessed wider takes the lattice path. The scan serves those rows
-# (spectrum orbits, small p), the rows whose lattice triangle is too large
-# (zero-sum rows, which read every multiplier), and minimizers_of at the fixed
-# ceiling h + 1.
+# (spectrum orbits, small p) and the rows whose lattice triangle is too large
+# (zero-sum rows, which read every multiplier).
 _FIRST_WIDTH = 4096
 # No block is narrower than 64 multipliers: a batch of more rows than
 # _BLOCK_CELLS // 64 = 4096 is scanned in equal row groups of at most that many.
@@ -117,7 +116,7 @@ def _residue_sums(tails: np.ndarray, ks: np.ndarray, p: int) -> np.ndarray:
     return sums
 
 
-def heights_of(tails: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+def heights_of(tails: np.ndarray, p: int, ties: bool = False) -> tuple[np.ndarray, ...]:
     """Heights and smallest argmin multipliers of the points <1, t>, one row t of int64 tails each.
 
     A row with at most one nonzero is a line point <1, a>, and the Klein sail
@@ -125,24 +124,39 @@ def heights_of(tails: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     guessed ceiling (_guesses) is wider than the scan's first block goes
     through its 2-D lattice, one row at a time (_lattice_height); every other
     row goes through the blocked scan (_blocked_heights). All keep the least k
-    on ties.
+    on ties. With ties=True a third array lists every (row, k) whose sum is the
+    row's height, from the pass that settles the row; a point may have about p
+    of them, so only on request. A line row <1, b> with b != p - 1 has one such
+    k, the sail's argmin: if k1 < k2 both attained the least k + (k*b mod p),
+    then k2 - k1 = y1 - y2 = -(k2 - k1)*b mod p, so b = p - 1, where every k ties.
     """
     heights = np.empty(len(tails), dtype=np.int64)
     argmins = np.empty(len(tails), dtype=np.int64)
+    found = [np.empty((0, 2), dtype=np.int64)]
     nonzeros = np.count_nonzero(tails, axis=1)
     line = nonzeros <= 1
     if line.any():
-        heights[line], argmins[line] = _sail_heights(tails[line].sum(axis=1), p)
-    if line.all():
+        rows, b = np.flatnonzero(line), tails[line].sum(axis=1)
+        heights[rows], argmins[rows] = _sail_heights(b, p)
+        if ties:
+            found.append(np.column_stack([rows, argmins[rows]])[b != p - 1])
+            for row in rows[b == p - 1].tolist():
+                found.append(np.column_stack([np.full(p - 1, row), np.arange(1, p)]))
+    if line.all() and not ties:
         return heights, argmins
     guesses = _guesses(tails, nonzeros, p)
     lattice = ~line & (guesses > _FIRST_WIDTH)
     for row in np.flatnonzero(lattice).tolist():
-        heights[row], argmins[row] = _lattice_height(tails[row], p, int(guesses[row]))
-    scan = ~(line | lattice)
-    if scan.any():
-        heights[scan], argmins[scan] = _blocked_heights(tails[scan], p)
-    return heights, argmins
+        heights[row], ks = _lattice_height(tails[row], p, int(guesses[row]), ties)
+        argmins[row] = ks[0]
+        if ties:
+            found.append(np.column_stack([np.full_like(ks, row), ks]))
+    scan = np.flatnonzero(~(line | lattice))
+    if scan.size:
+        heights[scan], argmins[scan], *listed = _blocked_heights(tails[scan], p, ties=ties)
+        if ties:
+            found.append(np.column_stack([scan[listed[0][:, 0]], listed[0][:, 1]]))
+    return (heights, argmins, np.concatenate(found)) if ties else (heights, argmins)
 
 
 def _guesses(tails: np.ndarray, nonzeros: np.ndarray, p: int) -> np.ndarray:
@@ -158,35 +172,34 @@ def _guesses(tails: np.ndarray, nonzeros: np.ndarray, p: int) -> np.ndarray:
     return np.minimum(tails.sum(axis=1) + 2, np.array(expect, dtype=np.int64)[nonzeros])
 
 
-def _lattice_height(tail: np.ndarray, p: int, guess: int) -> tuple[int, int]:
-    """Height and least argmin of one point <1, t> of two or more nonzero tails, from a 2-D lattice.
+def _lattice_height(tail: np.ndarray, p: int, guess: int, ties: bool) -> tuple[int, np.ndarray]:
+    """Height and ascending ties of a point <1, t> with n >= 2 nonzero tails, from a 2-D lattice.
 
     Each of the n nonzero residues of k*t is at least 1, so a k whose sum is
     below B has k + (k*a mod p) <= B - n for the first nonzero tail a: the
     point (k, k*a mod p) of the lattice {(x, y) : y = a*x mod p} lies in the
     triangle x >= 1, y >= 0, x + y <= B - n, with x, y <= p - 1.
     _triangle_multipliers lists those k in increasing order from the first
-    ceiling B = guess. If their least sum is below B, it is the height and its
-    first k the least argmin. Otherwise h <= that least sum, so a round with B
-    one above it settles. An empty triangle (a skewed lattice) doubles B, up
-    to U + 1 for U the sum at k = 1, whose triangle holds k = 1. A triangle of
-    more than _BLOCK_CELLS points sends the row to the blocked scan instead,
-    below the least sum known (or U) plus one.
+    ceiling B = guess. Once the least sum known (at first U, the sum at k = 1)
+    is below B, the triangle holds every k that attains it: it is the height,
+    and the listed k with that sum are its ties, the first the least argmin.
+    Otherwise the next ceiling is min(2B, known + 1): an empty or thin
+    triangle (a skewed lattice) doubles B, and the round at known + 1 settles.
+    A triangle of more than _BLOCK_CELLS points sends the row to the blocked
+    scan below known + 1, which lists the ties only with ties=True, else the argmin.
     """
     tail = tail[tail != 0]
     n = len(tail)
     basis = _reduced_basis(int(tail[0]), p)
     bound, known = guess, 1 + int(tail.sum())
     while (ks := _triangle_multipliers(*basis, p, bound - n)) is not None:
-        if len(ks):
-            sums = _residue_sums(tail[None, :], ks, p)[0]
-            arg = int(sums.argmin())
-            if sums[arg] < bound:
-                return int(sums[arg]), int(ks[arg])
-            known = min(known, int(sums[arg]))
-        bound = known + 1 if len(ks) else min(2 * bound, known + 1)
-    heights, argmins = _blocked_heights(tail[None, :], p, known + 1)
-    return int(heights[0]), int(argmins[0])
+        sums = _residue_sums(tail[None, :], ks, p)[0]
+        known = int(sums.min(initial=known))
+        if known < bound:
+            return known, ks[sums == known]
+        bound = min(2 * bound, known + 1)
+    got = _blocked_heights(tail[None, :], p, known + 1, ties)
+    return int(got[0][0]), got[2][:, 1] if ties else got[1]
 
 
 def _reduced_basis(a: int, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -283,21 +296,20 @@ def _sail_heights(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return best, best_k
 
 
-def _blocks(tails: np.ndarray, p: int, ceiling: np.ndarray):
+def _blocks(tails: np.ndarray, p: int, ceiling: np.ndarray, ties: bool):
     """Yield (rows, k, sums): the residue sums of tails[rows] at k, k + 1, ..., one block at a time.
 
     The k-th sum of <1, t> is at least k + (nonzeros of t), so a row is read
-    only while k + nonzeros < ceiling[row]; the caller may lower ceiling
-    between blocks. A block covers at most _BLOCK_CELLS cells. Its width
-    starts at _FIRST_WIDTH and doubles, but the block never passes p - 1 or
-    the last k that some live row still needs, ceiling - nonzeros - 1: so
-    minimizers_of, at the fixed ceiling h + 1, reads no k past h - nonzeros.
-    More rows than _BLOCK_CELLS // _MIN_WIDTH are split into equal
-    groups, each scanned from k = 1 on its own, so that no block is narrower
-    than _MIN_WIDTH.
+    only while k + nonzeros < ceiling[row], which the caller may lower between
+    blocks; with ties=True, while k + nonzeros <= ceiling[row], since a tie
+    whose residues are all 1 sits at k = h - nonzeros. A block covers at most
+    _BLOCK_CELLS cells. Its width starts at _FIRST_WIDTH and doubles, but the
+    block never passes p - 1 or the last k that some live row still needs.
+    More rows than _BLOCK_CELLS // _MIN_WIDTH are split into equal groups,
+    each scanned from k = 1 on its own, so no block is narrower than _MIN_WIDTH.
     """
     n = len(tails)
-    floor = np.count_nonzero(tails, axis=1)
+    floor = np.count_nonzero(tails, axis=1) - ties
     groups = -(-n // max(1, _BLOCK_CELLS // _MIN_WIDTH))
     for g in range(groups):
         live = np.arange(g * n // groups, (g + 1) * n // groups)
@@ -310,46 +322,34 @@ def _blocks(tails: np.ndarray, p: int, ceiling: np.ndarray):
             live = live[k + floor[live] < ceiling[live]]
 
 
-def _blocked_heights(
-    tails: np.ndarray, p: int, ceiling: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _blocked_heights(tails: np.ndarray, p: int, ceiling: int | None = None, ties: bool = False):
     """heights_of by scanning multipliers, for rows of any number of nonzeros.
 
     The scan walks _blocks with each row's best sum so far as its ceiling, so
-    a row stops once k + (nonzeros of t) reaches its best. Only a strictly
-    smaller sum replaces the best, so ties keep the least k. A given ceiling
-    must exceed every row's height; by default it is p * (columns + 1).
+    a row stops once k + (nonzeros of t) reaches its best (passes it, with
+    ties=True). Only a strictly smaller sum replaces the best, so argmins keep
+    the least k; with ties=True each block keeps its cells equal to the best so
+    far. A row's best first reaches its height at its argmin and stays there,
+    so the kept cells below the argmin, of a best later beaten, are dropped. A
+    given ceiling must exceed every row's height; by default p * (columns + 1).
     """
     if ceiling is None:
         ceiling = p * (tails.shape[1] + 1)
     heights = np.full(len(tails), ceiling, dtype=np.int64)
     argmins = np.ones(len(tails), dtype=np.int64)
-    for live, k, sums in _blocks(tails, p, heights):
+    found = [np.empty((0, 2), dtype=np.int64)]
+    for live, k, sums in _blocks(tails, p, heights, ties):
         arg = sums.argmin(axis=1)
         low = sums[np.arange(len(live)), arg]
         better = low < heights[live]
         heights[live[better]], argmins[live[better]] = low[better], k + arg[better]
-    return heights, argmins
-
-
-def minimizers_of(tails: np.ndarray, p: int, heights: np.ndarray) -> np.ndarray:
-    """Every (row, k) whose sum is that row's height h, from heights_of(tails, p)[0].
-
-    A line row <1, b> (at most one nonzero tail b) with b != p - 1 has one
-    minimizer: if k1 < k2 both attained the least k + (k*b mod p), then
-    k2 - k1 = y1 - y2 = -(k2 - k1)*b mod p, so b = p - 1. That minimizer is
-    the sail's argmin (_sail_heights). At b = p - 1 every k ties. Those rows
-    and all others are scanned: only k <= h - (nonzeros of t) can attain h, so
-    the scan walks _blocks with the fixed ceiling h + 1.
-    """
-    b = tails.sum(axis=1)
-    line = (np.count_nonzero(tails, axis=1) <= 1) & (b != p - 1)
-    found = [np.column_stack([np.flatnonzero(line), _sail_heights(b[line], p)[1]])]
-    scan = np.flatnonzero(~line)
-    for live, k, sums in _blocks(tails[scan], p, heights[scan] + 1):
-        rows, ks = np.nonzero(sums == heights[scan[live], None])
-        found.append(np.column_stack([scan[live[rows]], k + ks]))
-    return np.concatenate(found)
+        if ties:
+            rows, ks = np.nonzero(sums == heights[live, None])
+            found.append(np.column_stack([live[rows], k + ks]))
+    if not ties:
+        return heights, argmins
+    found = np.concatenate(found)
+    return heights, argmins, found[found[:, 1] >= argmins[found[:, 0]]]
 
 
 def height(a: ProjectivePoint) -> HeightRecord:

@@ -442,7 +442,6 @@ class TestExitCodes:
             raise AssertionError("the height kernel ran past the scan budget")
 
         monkeypatch.setattr("projheight.cayley.heights_of", no_scan)
-        monkeypatch.setattr("projheight.cayley.minimizers_of", no_scan)
         code, out, err = run(["cayley", "-p", "2147483647", "-A", A], capsys)
         assert code == EXIT_LIMIT and out == ""
         assert err == f"error: enumeration needs {cells} evaluations, budget is 5000000\n"

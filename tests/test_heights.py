@@ -264,13 +264,12 @@ class TestKernelBlockEdges:
     def test_mixed_rows_and_minimizers_match_brute(self, cells):
         # 2 to 4 tails with zeros mixed in; at p = 10007 a row's bound cap lands mid-block
         for p, tails in MIXED_TAILS.items():
-            hts, ams = heights.heights_of(tails, p)
+            hts, ams, got = heights.heights_of(tails, p, ties=True)
             sums = brute_sums(tails, p)
             assert hts.tolist() == sums.min(axis=1).tolist(), p
             assert ams.tolist() == (sums.argmin(axis=1) + 1).tolist(), p
             # every k attaining h, which lies at or below h - nonzeros
             want = sorted(zip(*np.nonzero(sums == hts[:, None])))
-            got = heights.minimizers_of(tails, p, hts)
             assert sorted((row, k - 1) for row, k in got.tolist()) == want, p
 
     def test_leading_zeros_and_d1(self, cells):
@@ -371,15 +370,15 @@ def test_line_minimizers_match_brute(p, monkeypatch):
         return residue_sums(rows, ks, q)
 
     monkeypatch.setattr(heights, "_residue_sums", spy)
-    hts = heights.heights_of(tails, p)[0]
+    hts, _, got = heights.heights_of(tails, p, ties=True)
     sums = brute_sums(tails, p)
     want = sorted(zip(*np.nonzero(sums == hts[:, None])))
-    got = heights.minimizers_of(tails, p, hts)
     assert sorted((row, k - 1) for row, k in got.tolist()) == want
-    # b = p - 1 ties at every k; every other line row has one minimizer, from the sail
+    # b = p - 1 ties at every k; every other line row has one minimizer, from the sail,
+    # and no line row is scanned
     counts = np.bincount(got[:, 0], minlength=len(tails))
     assert counts.tolist() == [p - 1 if t.sum() == p - 1 else 1 for t in tails]
-    assert scanned and set(scanned) == {p - 1}
+    assert scanned == []
 
 
 def test_line_height_table_has_no_cap():
@@ -461,6 +460,20 @@ def brute_records(tails, p):
     return [sums.min(axis=1).tolist(), (sums.argmin(axis=1) + 1).tolist()]
 
 
+def brute_ties(tails, p):
+    """Every (row, k) whose sum is that row's height, by the defining minimum, sorted."""
+    sums = brute_sums(tails, p)
+    rows, ks = np.nonzero(sums == sums.min(axis=1, keepdims=True))
+    return list(zip(rows.tolist(), (ks + 1).tolist()))
+
+
+def kernel_ties(tails, p):
+    """heights_of's ties for the rows <1, t>, sorted; its heights and argmins must match brute."""
+    hts, ams, pairs = heights.heights_of(tails, p, ties=True)
+    assert [hts.tolist(), ams.tolist()] == brute_records(tails, p)
+    return sorted(map(tuple, pairs.tolist()))
+
+
 def kernel_records(tails, p):
     """[heights, argmins] of the rows <1, t>, from heights_of."""
     return [x.tolist() for x in heights.heights_of(tails, p)]
@@ -480,9 +493,9 @@ class TestLattice:
         rows = []
         lattice_height = heights._lattice_height
 
-        def spy(tail, p, guess):
+        def spy(tail, p, guess, ties):
             rows.append(tail.tolist())
-            return lattice_height(tail, p, guess)
+            return lattice_height(tail, p, guess, ties)
 
         monkeypatch.setattr(heights, "_lattice_height", spy)
         return rows
@@ -582,9 +595,9 @@ class TestLattice:
         ceilings = []
         blocked_heights = heights._blocked_heights
 
-        def spy(tails, p, ceiling=None):
+        def spy(tails, p, ceiling=None, ties=False):
             ceilings.append(ceiling)
-            return blocked_heights(tails, p, ceiling)
+            return blocked_heights(tails, p, ceiling, ties)
 
         monkeypatch.setattr(heights, "_blocked_heights", spy)
         for p in (101, 10007):
@@ -627,9 +640,13 @@ class TestLattice:
         assert (rec.height, rec.argmin_k) == (176584, 176467)
         assert routed == [[2000000, 2500000]]
         assert rounds[0] == 0 and None not in rounds
+        # after a listed round that does not settle, the ceiling still doubles
+        # (below the least sum + 1), so the third round lists 4,142 points, not 115,303
+        assert rounds == [0, 324, 4142]
 
     def test_zero_sum_rounds_stay_within_the_cells(self, routed, monkeypatch):
-        # {1, 2, p - 3} sums to 0: h = p, and the second triangle holds about p/3 points
+        # {1, 2, p - 3} sums to 0: h = p, so the ceiling doubles until a triangle
+        # would hold more than the cells (one at h + 1 holds about p/3 points)
         rounds = []
         triangle = heights._triangle_multipliers
 
@@ -643,11 +660,91 @@ class TestLattice:
         assert beta_upper(CayleyGraph(p, (1, 2, p - 3))) == (p, 1)
         assert routed == [[2, p - 3]]
         assert all(n is None or n <= heights._BLOCK_CELLS for _, n in rounds)
-        # the refused round is the second, and its triangle is truly over the cells
-        (_, first), (top, second) = rounds
-        assert first is not None and second is None
+        # every round but the last is listed, and the last is refused and truly over the cells
+        *listed, (top, last) = rounds
+        assert listed and None not in [n for _, n in listed] and last is None
         k = np.arange(1, p)
         assert np.count_nonzero(k + 2 * k % p <= top) > heights._BLOCK_CELLS
+
+
+class TestTies:
+    """heights_of(..., ties=True) lists every tied minimizer, on every path, in the pass that settles the row."""
+
+    # the lattice path (and, with 16 cells, its fall-back to the scan) or the scan
+    # alone, in wide blocks or (one cell) one row and one k per block
+    PATHS = [(0, 1 << 18), (0, 16), (1 << 62, 1 << 18), (1 << 62, 1)]
+
+    @pytest.fixture(params=PATHS, ids=["lattice", "lattice-to-scan", "scan", "scan-by-k"])
+    def path(self, request, monkeypatch):
+        width, cells = request.param
+        monkeypatch.setattr(heights, "_FIRST_WIDTH", width)
+        monkeypatch.setattr(heights, "_BLOCK_CELLS", cells)
+
+    def test_every_plane_orbit_to_31(self, path):
+        tied = 0
+        for p in primes_up_to(31)[1:]:
+            tails = heights._orbits(p, 3)[0]
+            want = brute_ties(tails, p)
+            assert kernel_ties(tails, p) == want, p
+            tied += len(want) - len(tails)
+        assert tied >= 30
+
+    def test_ties_whose_residues_are_all_one(self, path):
+        # <1, 2, 2> at p = 5 ties at k = 1 and k = 3 = h - n, where k*2 = 1;
+        # so does <1, m, m> for m = (p - 1)/2 at k = 1 and k = p - 2
+        for p in primes_up_to(31)[2:]:
+            m = (p - 1) // 2
+            tails = np.array([[m, m]], dtype=np.int64)
+            got = kernel_ties(tails, p)
+            assert got == brute_ties(tails, p) and (0, p - 2) in got, p
+        assert kernel_ties(np.array([[2, 2]], dtype=np.int64), 5) == [(0, 1), (0, 3)]
+
+    def test_zero_sum_rows_at_1009(self, path):
+        p = 1009
+        # the first five points <1, t> sum to 0; the next two only have a zero-sum subset
+        tails = np.array(
+            [[2, p - 3, 0], [1, p - 2, 0], [1, 1, p - 3], [3, 5, p - 9], [5, p - 6, 0]]
+            + [[1, 1, p - 2], [5, p - 5, 7], [1, 2, 3]],
+            dtype=np.int64,
+        )
+        want = brute_ties(tails, p)
+        assert kernel_ties(tails, p) == want
+        # each sum of a zero-sum point is a multiple of p, so hundreds of multipliers tie
+        assert np.bincount([row for row, _ in want])[:5].min() > 100
+
+
+def test_beta_upper_settled_in_lattice_round_one_reads_no_scan_block(monkeypatch):
+    # the witness comes from the round that settles the height; no block is rescanned
+    blocks, rounds = [], []
+    scan, triangle = heights._blocks, heights._triangle_multipliers
+
+    def block_spy(*args):
+        for block in scan(*args):
+            blocks.append(block)
+            yield block
+
+    def round_spy(*args):
+        rounds.append(args)
+        return triangle(*args)
+
+    monkeypatch.setattr(heights, "_blocks", block_spy)
+    monkeypatch.setattr(heights, "_triangle_multipliers", round_spy)
+    settled = 0
+    for p, tails in seeded_points(random.Random(26), 3, 10**6, 10**6 + 10**4, 10):
+        A = tuple(sorted({1, *tails[0].tolist()}))
+        if len(A) < 3 or any(p - a in A for a in A):
+            continue
+        blocks.clear()
+        rounds.clear()
+        got = beta_upper(CayleyGraph(p, A))
+        sums = brute_sums(np.array([A[1:]], dtype=np.int64), p)[0]
+        h = int(sums.min())
+        # ordering k = v^-1 for each tied v
+        assert got == (h, min(pow(int(v), -1, p) for v in np.flatnonzero(sums == h) + 1)), (p, A)
+        if len(rounds) == 1:
+            settled += 1
+            assert blocks == [], (p, A)
+    assert settled >= 5
 
 
 def test_line_bound_certificates():
