@@ -20,12 +20,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .heights import (
-    DEFAULT_POINT_BUDGET,
-    BudgetExceededError,
-    check_scan_budget,
-    heights_of,
-)
+from .heights import DEFAULT_POINT_BUDGET, BudgetExceededError, heights_of
 from .modular import (
     PrimeModulus,
     as_modulus,
@@ -202,10 +197,7 @@ def _upper_bounds(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[tup
     if live.size:
         lead = rest[live, 0]
         tails = rest[live, 1:] * np.array([pow(a, -1, p) for a in lead.tolist()])[:, None] % p
-        # listed lazily, as check_scan_budget reads one row when m * (p - 1) fits
-        rows = zip(map(np.ndarray.tolist, tails), map(np.ndarray.tolist, rest[live]))
-        check_scan_budget(rows, p, DEFAULT_POINT_BUDGET)
-        rest_heights, _, minimizers = heights_of(tails, p, ties=True)
+        rest_heights, _, minimizers = heights_of(tails, p, ties=True, budget=DEFAULT_POINT_BUDGET)
         heights[live] += rest_heights
         row, v = minimizers.T
         inverse = map(pow, v.tolist(), itertools.repeat(-1), itertools.repeat(p))
@@ -541,7 +533,8 @@ def scan_css(
 
     Sets are enumerated up to scalar equivalence (A and cA are isomorphic via
     x -> cx). Each prime is one css_check batch with its girths, each row built
-    once. The budget counts subsets, the sum over primes of C(p-1, d). With
+    once. The budget counts all C(p-1, d) d-subsets per prime, up to p - 1 per class,
+    as each class is audited in O(p*d); only C(p-2, d-1) of them are tested. With
     exact, the first prime past the cap is refused before any work. Primes are
     audited from the largest down, so those past min(cap, DP_CEILING), where
     only a packing settles beta, come first and a packing gap there is refused

@@ -28,7 +28,6 @@ from .cayley import (
 from .heights import (
     DEFAULT_POINT_BUDGET,
     BudgetExceededError,
-    check_scan_budget,
     gap_scan,
     height,
     height_upper_bound,
@@ -132,15 +131,12 @@ def _audit_columns(reports: list[BetaReport]) -> tuple[list, ...]:
 
 
 def cmd_height(args: argparse.Namespace) -> OutputRecord:
-    coords = _parse_int_list(args.a)
-    point = canonicalize(coords, args.p)
-    tails = [c for c in point.coords if c][1:]
-    check_scan_budget([(tails, [c % point.p for c in coords])], point.p, args.budget)
+    point = canonicalize(_parse_int_list(args.a), args.p)
     if point.d == 2 and point.coords[0] == 1 and point.coords[1] != 0:
         record = line_height_fast(point.coords[1], point.modulus)
         certs = dict(line_bound_certificates(point.coords[1], point.modulus))
     else:
-        record = height(point)
+        record = height(point, budget=args.budget)
         certs = {}
     row = {
         "p": point.p,
@@ -322,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_height = sub.add_parser("height", help="height of one projective point")
     p_height.add_argument("-p", type=int, required=True, help="prime modulus")
     p_height.add_argument("-a", required=True, help="comma-separated coordinates")
-    add_budget(p_height, "cells n*min(U-n, p-1) for n >= 2 nonzero tails, U the least sum at k=+-1")
+    add_budget(
+        p_height, "cells (residues k*a_i mod p) to compute; past it, exit 3 after at most this many"
+    )
     add_format(p_height)
     p_height.set_defaults(func=cmd_height)
 
@@ -370,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--pmax", type=int, required=True, help="largest prime")
     p_scan.add_argument("-d", "--d", type=int, required=True, help="connection set size")
     p_scan.add_argument("--exact", action="store_true", help="compute exact beta per instance")
-    add_budget(p_scan, "enumeration budget in subsets: the sum over primes p of C(p-1, d)")
+    add_budget(p_scan, "work: the sum over primes p of C(p-1, d), about p-1 per class audited")
     p_scan.add_argument("--out", help="write the full report to this path")
     add_format(p_scan)
     p_scan.set_defaults(func=cmd_scan)

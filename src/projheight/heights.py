@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -60,24 +60,10 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
-def check_scan_budget(rows: Iterable[tuple[Sequence[int], Sequence[int]]], p: int, budget: int) -> None:
-    """Refuse a blocked scan whose costliest row counts more than budget cells.
-
-    A row (t, x) is a point <1, t> and the same point x as given, reduced mod p,
-    in any scale; zeros allowed. With n nonzero tails, U is the least sum of either
-    form at k = +-1, so h <= U; the scan needs only k <= h - n, so the row counts
-    n * min(U - n, p - 1) cells. A line point (n <= 1) walks the sail: 0 cells.
-    All rows have m tails, so when m * (p - 1) cells fit, only the first row is read.
-    """
-    worst = 0
-    for t, x in rows:
-        if len(t) * (p - 1) <= budget:
-            return
-        if (n := len(t) - t.count(0)) > 1:
-            sums = (1 + sum(t), sum(x))
-            worst = max(worst, n * min(min(sums) - n, p * (n + 1) - max(sums) - n, p - 1))
-    if worst > budget:
-        raise BudgetExceededError(worst, budget)
+def _charge(cells: int, budget: int | None) -> None:
+    """Refuse cells, a row's charge with the allocation it is about to make, past budget."""
+    if budget is not None and cells > budget:
+        raise BudgetExceededError(cells, budget)
 
 
 def _odd_modulus(p: int | PrimeModulus) -> PrimeModulus:
@@ -116,7 +102,9 @@ def _residue_sums(tails: np.ndarray, ks: np.ndarray, p: int) -> np.ndarray:
     return sums
 
 
-def heights_of(tails: np.ndarray, p: int, ties: bool = False) -> tuple[np.ndarray, ...]:
+def heights_of(
+    tails: np.ndarray, p: int, ties: bool = False, budget: int | None = None
+) -> tuple[np.ndarray, ...]:
     """Heights and smallest argmin multipliers of the points <1, t>, one row t of int64 tails each.
 
     A row with at most one nonzero is a line point <1, a>, and the Klein sail
@@ -129,6 +117,10 @@ def heights_of(tails: np.ndarray, p: int, ties: bool = False) -> tuple[np.ndarra
     of them, so only on request. A line row <1, b> with b != p - 1 has one such
     k, the sail's argmin: if k1 < k2 both attained the least k + (k*b mod p),
     then k2 - k1 = y1 - y2 = -(k2 - k1)*b mod p, so b = p - 1, where every k ties.
+
+    budget caps each row's cells, the residues k*t_i mod p it computes: a lattice round
+    or a scan block is charged before it is allocated (the sail costs none), and once
+    a row's charge would pass budget, BudgetExceededError(charge, budget) is raised instead.
     """
     heights = np.empty(len(tails), dtype=np.int64)
     argmins = np.empty(len(tails), dtype=np.int64)
@@ -147,13 +139,13 @@ def heights_of(tails: np.ndarray, p: int, ties: bool = False) -> tuple[np.ndarra
     guesses = _guesses(tails, nonzeros, p)
     lattice = ~line & (guesses > _FIRST_WIDTH)
     for row in np.flatnonzero(lattice).tolist():
-        heights[row], ks = _lattice_height(tails[row], p, int(guesses[row]), ties)
+        heights[row], ks = _lattice_height(tails[row], p, int(guesses[row]), ties, budget)
         argmins[row] = ks[0]
         if ties:
             found.append(np.column_stack([np.full_like(ks, row), ks]))
     scan = np.flatnonzero(~(line | lattice))
     if scan.size:
-        heights[scan], argmins[scan], *listed = _blocked_heights(tails[scan], p, ties=ties)
+        heights[scan], argmins[scan], *listed = _blocked_heights(tails[scan], p, None, ties, budget)
         if ties:
             found.append(np.column_stack([scan[listed[0][:, 0]], listed[0][:, 1]]))
     return (heights, argmins, np.concatenate(found)) if ties else (heights, argmins)
@@ -172,7 +164,9 @@ def _guesses(tails: np.ndarray, nonzeros: np.ndarray, p: int) -> np.ndarray:
     return np.minimum(tails.sum(axis=1) + 2, np.array(expect, dtype=np.int64)[nonzeros])
 
 
-def _lattice_height(tail: np.ndarray, p: int, guess: int, ties: bool) -> tuple[int, np.ndarray]:
+def _lattice_height(
+    tail: np.ndarray, p: int, guess: int, ties: bool, budget: int | None
+) -> tuple[int, np.ndarray]:
     """Height and ascending ties of a point <1, t> with n >= 2 nonzero tails, from a 2-D lattice.
 
     Each of the n nonzero residues of k*t is at least 1, so a k whose sum is
@@ -187,18 +181,22 @@ def _lattice_height(tail: np.ndarray, p: int, guess: int, ties: bool) -> tuple[i
     triangle (a skewed lattice) doubles B, and the round at known + 1 settles.
     A triangle of more than _BLOCK_CELLS points sends the row to the blocked
     scan below known + 1, which lists the ties only with ties=True, else the argmin.
+    A round costs n cells per k it lists, and the scan goes on from their total.
     """
     tail = tail[tail != 0]
     n = len(tail)
     basis = _reduced_basis(int(tail[0]), p)
-    bound, known = guess, 1 + int(tail.sum())
-    while (ks := _triangle_multipliers(*basis, p, bound - n)) is not None:
+    bound, known, spent = guess, 1 + int(tail.sum()), 0
+    def charge(points: int) -> None:  # a round's point count, before it is listed
+        _charge(spent + n * points, budget)
+    while (ks := _triangle_multipliers(*basis, p, bound - n, charge)) is not None:
+        spent += n * len(ks)
         sums = _residue_sums(tail[None, :], ks, p)[0]
         known = int(sums.min(initial=known))
         if known < bound:
             return known, ks[sums == known]
         bound = min(2 * bound, known + 1)
-    got = _blocked_heights(tail[None, :], p, known + 1, ties)
+    got = _blocked_heights(tail[None, :], p, known + 1, ties, budget, spent)
     return int(got[0][0]), got[2][:, 1] if ties else got[1]
 
 
@@ -224,7 +222,7 @@ def _reduced_basis(a: int, p: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def _triangle_multipliers(
-    u: tuple[int, int], v: tuple[int, int], p: int, top: int
+    u: tuple[int, int], v: tuple[int, int], p: int, top: int, charge: Callable | None = None
 ) -> np.ndarray | None:
     """The sorted x of the points i*u + j*v with x >= 1, y >= 0, x + y <= top and x, y <= p - 1.
 
@@ -233,7 +231,7 @@ def _triangle_multipliers(
     line j, each half-plane alpha*x + beta*y <= gamma bounds i by an exact
     floor or ceiling division, or holds or fails for the whole line when u is
     parallel to its edge. Returns None, before expanding, when there are more
-    lines or points than _BLOCK_CELLS.
+    lines or points than _BLOCK_CELLS; else charge, if given, gets the point count first.
     """
     (ux, uy), (vx, vy) = u, v
     dets = [ux * y - uy * x for x, y in ((1, 0), (top, 0), (1, top - 1))]
@@ -259,6 +257,8 @@ def _triangle_multipliers(
     total = int(counts.sum())
     if total > _BLOCK_CELLS:
         return None
+    if charge is not None:
+        charge(total)
     starts = np.cumsum(counts) - counts
     i = np.repeat(lo - starts, counts) + np.arange(total)
     x = i * ux + np.repeat(js, counts) * vx
@@ -296,7 +296,9 @@ def _sail_heights(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return best, best_k
 
 
-def _blocks(tails: np.ndarray, p: int, ceiling: np.ndarray, ties: bool):
+def _blocks(
+    tails: np.ndarray, p: int, ceiling: np.ndarray, ties: bool, budget: int | None, spent: int
+):
     """Yield (rows, k, sums): the residue sums of tails[rows] at k, k + 1, ..., one block at a time.
 
     The k-th sum of <1, t> is at least k + (nonzeros of t), so a row is read
@@ -307,6 +309,7 @@ def _blocks(tails: np.ndarray, p: int, ceiling: np.ndarray, ties: bool):
     block never passes p - 1 or the last k that some live row still needs.
     More rows than _BLOCK_CELLS // _MIN_WIDTH are split into equal groups,
     each scanned from k = 1 on its own, so no block is narrower than _MIN_WIDTH.
+    Each live row of a group has read k - 1 multipliers: spent + (k - 1 + width)*columns.
     """
     n = len(tails)
     floor = np.count_nonzero(tails, axis=1) - ties
@@ -317,12 +320,15 @@ def _blocks(tails: np.ndarray, p: int, ceiling: np.ndarray, ties: bool):
         while k < p and len(live):
             need = int((ceiling[live] - floor[live]).max()) - k
             width = max(1, min(width, _BLOCK_CELLS // len(live), p - k, need))
+            _charge(spent + tails.shape[1] * (k - 1 + width), budget)
             yield live, k, _residue_sums(tails[live], np.arange(k, k + width, dtype=np.int64), p)
             k, width = k + width, 2 * width
             live = live[k + floor[live] < ceiling[live]]
 
 
-def _blocked_heights(tails: np.ndarray, p: int, ceiling: int | None = None, ties: bool = False):
+def _blocked_heights(
+    tails: np.ndarray, p: int, ceiling=None, ties: bool = False, budget: int | None = None, spent=0
+):
     """heights_of by scanning multipliers, for rows of any number of nonzeros.
 
     The scan walks _blocks with each row's best sum so far as its ceiling, so
@@ -331,14 +337,15 @@ def _blocked_heights(tails: np.ndarray, p: int, ceiling: int | None = None, ties
     the least k; with ties=True each block keeps its cells equal to the best so
     far. A row's best first reaches its height at its argmin and stays there,
     so the kept cells below the argmin, of a best later beaten, are dropped. A
-    given ceiling must exceed every row's height; by default p * (columns + 1).
+    given ceiling must exceed every row's height; by default U + 1, one above the
+    sum at k = 1. Each row is charged from spent cells on (_blocks).
     """
     if ceiling is None:
-        ceiling = p * (tails.shape[1] + 1)
+        ceiling = tails.sum(axis=1) + 2
     heights = np.full(len(tails), ceiling, dtype=np.int64)
     argmins = np.ones(len(tails), dtype=np.int64)
     found = [np.empty((0, 2), dtype=np.int64)]
-    for live, k, sums in _blocks(tails, p, heights, ties):
+    for live, k, sums in _blocks(tails, p, heights, ties, budget, spent):
         arg = sums.argmin(axis=1)
         low = sums[np.arange(len(live)), arg]
         better = low < heights[live]
@@ -352,10 +359,10 @@ def _blocked_heights(tails: np.ndarray, p: int, ceiling: int | None = None, ties
     return heights, argmins, found[found[:, 1] >= argmins[found[:, 0]]]
 
 
-def height(a: ProjectivePoint) -> HeightRecord:
-    """Exact height of a point, with the smallest k attaining it; zero coordinates add nothing."""
-    tail = [c for c in a.coords if c][1:]
-    heights, argmins = heights_of(np.array([tail], dtype=np.int64), _odd_modulus(a.modulus).p)
+def height(a: ProjectivePoint, budget: int | None = None) -> HeightRecord:
+    """Exact height and least argmin k of a point, under heights_of's budget; zeros add nothing."""
+    tails = np.array([[c for c in a.coords if c][1:]], dtype=np.int64)
+    heights, argmins = heights_of(tails, _odd_modulus(a.modulus).p, budget=budget)
     return HeightRecord(a, int(heights[0]), int(argmins[0]), "brute")
 
 

@@ -396,7 +396,8 @@ class TestBetaUpper:
             assert beta_upper(CayleyGraph(p, [1, 2, p - 2, p - 1])) == (2 * p, 1)
 
     def test_zero_sum_sets_within_the_scan_budget(self):
-        # a zero-sum subset keeps h >= p; here 2 * (p - 2) cells fit the budget
+        # a zero-sum subset keeps h >= p; here the lattice rounds and a scan of
+        # 2 * (p - 1) cells fit the default budget
         assert beta_upper(CayleyGraph(1000003, (1, 2, 1000000))) == (1000003, 1)
         assert beta_upper(CayleyGraph(101, (1, 2, 7, 98))) == (102, 7)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from projheight import cayley, cli
+from projheight import cayley, cli, heights
 from projheight.cayley import (
     BetaReport,
     CapExceededError,
@@ -410,41 +410,70 @@ class TestExitCodes:
 
     def test_height_budget_checked_before_any_work(self, capsys, monkeypatch):
         def no_work(*args, **kwargs):
-            raise AssertionError("work done before the height budget check")
+            raise AssertionError("residues computed past the height budget")
 
-        monkeypatch.setattr("projheight.cli.height", no_work)
-        monkeypatch.setattr("projheight.cli.line_height_fast", no_work)
-        code, out, err = run(["height", "-p", "100000007", "-a", "1,1,100000006"], capsys)
+        monkeypatch.setattr("projheight.heights._residue_sums", no_work)
+        # U = 102, so the first block reads 2 tails * (p - 1) = 200 cells, refused
+        # before any residue is computed
+        code, out, err = run(["height", "-p", "101", "-a", "0,1,50,51", "--budget", "199"], capsys)
         assert code == EXIT_LIMIT and out == ""
-        # 2 nonzero tails for each k < p, as U = p + 1
-        assert err == "error: enumeration needs 200000012 evaluations, budget is 5000000\n"
-        # U = 102, so again 2 tails * (p - 1) cells
-        code, _, err = run(["height", "-p", "101", "-a", "0,1,50,51", "--budget", "199"], capsys)
-        assert code == EXIT_LIMIT and "needs 200 evaluations" in err
+        assert err == "error: enumeration needs 200 evaluations, budget is 199\n"
+        # the first lattice round of this point lists 3,601 multipliers, 2 cells each
+        argv = ["height", "-p", "2147483647", "-a", "1,1234567891,987654321", "--budget", "7201"]
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_LIMIT and out == ""
+        assert err == "error: enumeration needs 7202 evaluations, budget is 7201\n"
         monkeypatch.undo()
         code, _, _ = run(["height", "-p", "101", "-a", "0,1,50,51", "--budget", "200"], capsys)
         assert code == EXIT_OK
-        # U = 6 counts 2 * 4 cells
-        code, out, _ = run(["height", "-p", "101", "-a", "0,1,2,3", "--budget", "199"], capsys)
+        code, out, _ = run(argv[:-1] + ["7202"], capsys)
+        assert code == EXIT_OK and "height: 605169" in out
+        # the scan reads below U + 1 = 7 only: 2 tails * 4 multipliers
+        code, out, _ = run(["height", "-p", "101", "-a", "0,1,2,3", "--budget", "8"], capsys)
         assert code == EXIT_OK and "height: 6" in out
+        # {1, p - 1} sums to 0, so h >= p: the point is scanned, 2 tails per k in blocks
+        # of 4096, 8192, ..., 2^18 multipliers, until the next block would pass the budget
+        code, out, err = run(["height", "-p", "100000007", "-a", "1,1,100000006"], capsys)
+        assert code == EXIT_LIMIT and out == ""
+        assert err == "error: enumeration needs 5219330 evaluations, budget is 5000000\n"
 
-    @pytest.mark.parametrize(
-        "A, cells",
-        [
-            # U is near p for all three; {1, 2, p-3} sums to 0, so its h is p
-            ("1,2,2147483644", 4294967290),
-            ("1,2,2147483643", 4294967288),
-            ("1,1234567,987654321", 1977777774),
-        ],
-    )
-    def test_cayley_budget_checked_before_any_scan(self, A, cells, capsys, monkeypatch):
-        def no_scan(*args, **kwargs):
-            raise AssertionError("the height kernel ran past the scan budget")
+    @pytest.mark.parametrize("A", ["1,2,2147483644", "1,2,2147483643"])
+    def test_cayley_budget_checked_before_any_scan(self, A, capsys, monkeypatch):
+        # a triangle of 2x mod p holds more than the block cells, so both go to the
+        # scan, and neither settles within the budget ({1, 2, p - 3} sums to 0, so
+        # its h is p); the scan charges 2 cells per k, in blocks of 4096, 8192, ...,
+        # 2^18 multipliers, and refuses the block that would pass the budget before its sums
+        cells = []
+        residue_sums = heights._residue_sums
 
-        monkeypatch.setattr("projheight.cayley.heights_of", no_scan)
+        def spy(rows, ks, q):
+            cells.append(rows.shape[1] * len(ks))
+            return residue_sums(rows, ks, q)
+
+        monkeypatch.setattr("projheight.heights._residue_sums", spy)
         code, out, err = run(["cayley", "-p", "2147483647", "-A", A], capsys)
         assert code == EXIT_LIMIT and out == ""
-        assert err == f"error: enumeration needs {cells} evaluations, budget is 5000000\n"
+        assert err == "error: enumeration needs 5234688 evaluations, budget is 5000000\n"
+        assert sum(cells) == 2 * (258048 + 8 * 2**18) <= 5000000
+        assert sum(cells) + 2 * 2**18 == 5234688
+
+    @pytest.mark.parametrize(
+        "A, h, k",
+        [
+            pytest.param("1,1234567891,987654321", 605169, 3879, id="1,1234567891,987654321"),
+            pytest.param("1,1234567,987654321", 3581020, 1690759, id="1,1234567,987654321"),
+        ],
+    )
+    def test_lattice_points_answered(self, A, h, k, capsys):
+        # the lattice settles both in a few thousand cells, where a scan to h
+        # would read n * min(U - n, p - 1), past 10^9 cells
+        code, out, _ = run(["height", "-p", "2147483647", "-a", A, "--format", "csv"], capsys)
+        assert code == EXIT_OK
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert (row["height"], row["argmin_k"]) == (str(h), str(k))
+        code, out, _ = run(["cayley", "-p", "2147483647", "-A", A], capsys)
+        assert code == EXIT_OK and f"beta_upper: {h}" in out
 
     @pytest.mark.parametrize(
         "p, A",
@@ -476,11 +505,14 @@ class TestExitCodes:
             assert h_code == EXIT_LIMIT and h_err.startswith("error: enumeration needs ")
 
     def test_scan_budget_still_counts_rows_past_m_full_columns(self, capsys):
-        # 2 tails * (p - 1) cells pass the budget, so each row is counted
+        # 2 tails * (p - 1) cells pass the budget, so each point is metered as it
+        # runs: <1, 2, 3> reads 2 * 4 cells, and the zero-sum point is refused
+        # once its next block would pass the budget
         code, out, _ = run(["height", "-p", "2147483647", "-a", "1,2,3"], capsys)
         assert code == EXIT_OK and "height: 6" in out
         code, out, err = run(["cayley", "-p", "2147483647", "-A", "1,2,2147483644"], capsys)
-        assert code == EXIT_LIMIT and out == "" and err.startswith("error: enumeration needs ")
+        assert code == EXIT_LIMIT and out == ""
+        assert err == "error: enumeration needs 5234688 evaluations, budget is 5000000\n"
 
     def test_empty_list_is_input_error(self, capsys):
         for argv in (["height", "-p", "7", "-a", ""], ["cayley", "-p", "7", "-A", ""]):

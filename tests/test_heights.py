@@ -13,7 +13,6 @@ from projheight import heights, modular
 from projheight.cayley import CayleyGraph, beta_upper, is_triangle_free
 from projheight.heights import (
     BudgetExceededError,
-    check_scan_budget,
     gap_scan,
     height,
     height_upper_bound,
@@ -493,9 +492,9 @@ class TestLattice:
         rows = []
         lattice_height = heights._lattice_height
 
-        def spy(tail, p, guess, ties):
+        def spy(tail, *args):
             rows.append(tail.tolist())
-            return lattice_height(tail, p, guess, ties)
+            return lattice_height(tail, *args)
 
         monkeypatch.setattr(heights, "_lattice_height", spy)
         return rows
@@ -595,9 +594,9 @@ class TestLattice:
         ceilings = []
         blocked_heights = heights._blocked_heights
 
-        def spy(tails, p, ceiling=None, ties=False):
+        def spy(tails, p, ceiling=None, *args):
             ceilings.append(ceiling)
-            return blocked_heights(tails, p, ceiling, ties)
+            return blocked_heights(tails, p, ceiling, *args)
 
         monkeypatch.setattr(heights, "_blocked_heights", spy)
         for p in (101, 10007):
@@ -629,8 +628,8 @@ class TestLattice:
         rounds = []
         triangle = heights._triangle_multipliers
 
-        def spy(u, v, p, top):
-            got = triangle(u, v, p, top)
+        def spy(u, v, p, top, *charge):
+            got = triangle(u, v, p, top, *charge)
             rounds.append(None if got is None else len(got))
             return got
 
@@ -650,8 +649,8 @@ class TestLattice:
         rounds = []
         triangle = heights._triangle_multipliers
 
-        def spy(u, v, p, top):
-            got = triangle(u, v, p, top)
+        def spy(u, v, p, top, *charge):
+            got = triangle(u, v, p, top, *charge)
             rounds.append((top, None if got is None else len(got)))
             return got
 
@@ -885,47 +884,120 @@ def test_spectrum_budget(monkeypatch):
         spectrum(7, 1)
 
 
-def test_check_scan_budget_edges():
-    # U = 102 at k = 1, so 2 tails * min(100, p - 1) cells
-    check_scan_budget([((50, 51), (0, 1, 50, 51))], 101, 200)
-    # a line point walks the sail and reads no cells
-    for t in ((), (0,), (5,), (0, 7, 0)):
-        check_scan_budget([(t, (1, *t))], 2**31 - 1, 1)
-    # U = 70 at k = 1, so 3 tails * 67 cells, and the costliest row is counted;
-    # every row of one call has as many tails, zeros included
-    rows = [((50, 51, 0), (1, 50, 51)), ((1, 2, 66), (1, 1, 2, 66))]
+def unmetered_or_refused(tails, p, ties, budget):
+    """heights_of under budget: its arrays when they match the unmetered call, else the refusal."""
+    want = heights.heights_of(tails, p, ties=ties)
+    try:
+        got = heights.heights_of(tails, p, ties=ties, budget=budget)
+    except BudgetExceededError as exc:
+        assert exc.budget == budget and exc.required > budget
+        return exc
+    assert [x.tolist() for x in got] == [x.tolist() for x in want]
+    return got
+
+
+def test_meter_edges():
+    # U = 102 at k = 1, so the first block reads 2 tails * (p - 1) = 200 cells
+    tails = np.array([[50, 51]], dtype=np.int64)
+    assert heights.heights_of(tails, 101, budget=200)[0].tolist() == [102]
     with pytest.raises(BudgetExceededError) as info:
-        check_scan_budget(rows, 101, 200)
-    assert (info.value.required, info.value.budget) == (201, 200)
+        heights.heights_of(tails, 101, budget=199)
+    assert (info.value.required, info.value.budget) == (200, 199)
+    # the scan reads below U + 1 = 7 only: 2 tails * 4 multipliers
+    assert heights.heights_of(np.array([[2, 3]], dtype=np.int64), 101, budget=8)[0].tolist() == [6]
+    # a line point walks the sail and costs no cells; h(<1, a>) = 1 + a for a^2 < p
+    for t, h in (((), 1), ((0,), 1), ((5,), 6), ((0, 7, 0), 8)):
+        got = heights.heights_of(np.array([t], dtype=np.int64).reshape(1, -1), 2**31 - 1, budget=0)
+        assert got[0].tolist() == [h], t
+    # a block charges every live row its width times all columns, zeros included:
+    # U = 102 and 4 need 100 and 2 multipliers, so one block of 100 costs 3 * 100
+    rows = np.array([[50, 51, 0], [1, 2, 0]], dtype=np.int64)
+    with pytest.raises(BudgetExceededError) as info:
+        heights.heights_of(rows, 101, budget=299)
+    assert (info.value.required, info.value.budget) == (300, 299)
 
 
-def test_check_scan_budget_reads_one_row_when_every_row_fits():
-    # at (29, 8) each row has 7 tails, and 7 * 28 cells fit the default budget
-    def rows():
-        yield (1, 2, 3, 4, 5, 6, 7), (1, 1, 2, 3, 4, 5, 6, 7)
-        raise AssertionError("read past the first row")
-
-    check_scan_budget(rows(), 29, heights.DEFAULT_POINT_BUDGET)
+def test_meter_charges_each_row_alone():
+    # every orbit row of P^3(F_29) has 3 tails, so a full scan is 3 * 28 cells a row;
+    # the batch reads 3 * 28 cells for each of its rows, far past that in total
+    tails = heights._orbits(29, 4)[0]
+    assert len(tails) > 100
+    assert not isinstance(unmetered_or_refused(tails, 29, False, 84), BudgetExceededError)
+    assert not isinstance(unmetered_or_refused(tails, 29, True, 84), BudgetExceededError)
+    with pytest.raises(BudgetExceededError) as info:
+        heights.heights_of(tails, 29, budget=83)
+    assert info.value.required == 84
 
 
 @given(
     st.sampled_from([p for p in ODD_PRIMES if p <= 43]),
-    st.lists(st.integers(1, 42), min_size=2, max_size=5),
-    st.integers(0, 3),
-    st.integers(1, 10**6),
-    st.randoms(use_true_random=False),
+    st.lists(st.lists(st.integers(0, 42), min_size=4, max_size=4), min_size=1, max_size=4),
+    st.booleans(),
+    st.integers(0, 4 * 43),
 )
-def test_scan_count_bounds_the_scan(p, nonzero, zeros, c, rng):
-    # the count covers every multiplier the scan needs, and never passes the
-    # n * (p - 1) cells of a full scan
-    t = [v % p or 1 for v in nonzero] + [0] * zeros
-    rng.shuffle(t)
-    x = [(c % p or 1) * v % p for v in (1, *t)]
-    rng.shuffle(x)
+def test_scan_count_bounds_the_scan(p, rows, ties, budget):
+    # the meter either returns exactly the unmetered result or refuses with
+    # required > budget; at p <= 43 every row is scanned, and a full scan of
+    # n * (p - 1) cells always suffices, so no refusal asks for more
+    tails = np.array(rows, dtype=np.int64) % p
+    n = tails.shape[1]
+    got = unmetered_or_refused(tails, p, ties, budget)
+    if isinstance(got, BudgetExceededError):
+        assert budget < got.required <= n * (p - 1)
+    assert not isinstance(unmetered_or_refused(tails, p, ties, n * (p - 1)), BudgetExceededError)
+
+
+def test_seeded_points_near_2_31_fit_the_default_budget():
+    # the lattice settles a d = 3 point at p = 2^31 - 1 in a few thousand cells,
+    # which the scan's static price (about 4.3 * 10^9) used to refuse
+    rng = random.Random(27)
+    p = 2**31 - 1
+    tails = np.array([[rng.randrange(1, p) for _ in range(2)] for _ in range(50)], dtype=np.int64)
+    for ties in (False, True):
+        got = heights.heights_of(tails, p, ties=ties, budget=heights.DEFAULT_POINT_BUDGET)
+        want = heights.heights_of(tails, p, ties=ties)
+        assert [x.tolist() for x in got] == [x.tolist() for x in want]
+
+
+def test_meter_allocates_nothing_past_the_budget(monkeypatch):
+    # each lattice round is charged before its triangle is listed, each scan block
+    # before its sums, so the refused allocation never happens
+    cells, rounds = [], []
+    residue_sums, triangle = heights._residue_sums, heights._triangle_multipliers
+
+    def sums_spy(rows, ks, q):
+        cells.append(rows.shape[1] * len(ks))
+        return residue_sums(rows, ks, q)
+
+    def round_spy(*args):
+        rounds.append("asked")  # stays if the round is refused
+        got = triangle(*args)
+        rounds[-1] = None if got is None else len(got)
+        return got
+
+    monkeypatch.setattr(heights, "_residue_sums", sums_spy)
+    monkeypatch.setattr(heights, "_triangle_multipliers", round_spy)
+    p = 2**31 - 1
+    point = canonicalize((1, 1234567891, 987654321), p)
+    # its first round lists 3,601 points, 2 cells each
     with pytest.raises(BudgetExceededError) as info:
-        check_scan_budget([(t, x)], p, 0)
-    n, h = len(nonzero), brute_height((1, *t), p)
-    assert n * min(h - n, p - 1) <= info.value.required <= n * (p - 1)
+        height(point, budget=1000)
+    assert cells == [] and rounds == ["asked"] and info.value.required > 1000
+    rounds.clear()
+    # the same round, listed once the budget holds it, settles the point
+    assert height(point, budget=info.value.required).height == 605169
+    assert rounds == [info.value.required // 2]
+    # a zero-sum point (h = p) lists rounds until a triangle passes the block
+    # cells, then scans blocks (2 * (p - 1) cells in all) until the next would pass
+    cells.clear()
+    rounds.clear()
+    p = 1000003
+    with pytest.raises(BudgetExceededError) as info:
+        height(canonicalize((1, 2, p - 3), p), budget=10**6)
+    assert sum(cells) <= 10**6 < info.value.required
+    *listed, last = rounds
+    assert listed and None not in listed and last is None
+    assert 2 * sum(listed) < sum(cells)
 
 
 def test_spectrum_bounds_check():
