@@ -20,7 +20,7 @@ from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .heights import DEFAULT_POINT_BUDGET, BudgetExceededError, heights_of
+from .heights import DEFAULT_POINT_BUDGET, check_budget, heights_of
 from .modular import (
     PrimeModulus,
     as_modulus,
@@ -390,11 +390,12 @@ def beta_exact(edge_list: Iterable[Edge], cap: int = DEFAULT_EXACT_CAP) -> int:
 def shortest_cycle(G: CayleyGraph) -> int:
     """Length of the shortest directed cycle.
 
-    At d = 2 a cycle takes c_1 steps along a_1 and c_2 along a_2 with
-    c_1 = c_2*(p - b) mod p, b = a_2/a_1, so the girth is min(p, h(<1, p - b>)),
-    which is h(<1, p - b>) <= 1 + p - b, from the sail in O(log p). Otherwise
-    vertex-transitivity makes one source enough: breadth-first search from 0,
-    which stops at the first arc back to 0, once check_girth_budget allows it.
+    At d = 1 it is p. At d = 2 a cycle takes c_1 steps along a_1 and c_2 along
+    a_2 with c_1 = c_2*(p - b) mod p, b = a_2/a_1, so the girth is
+    min(p, h(<1, p - b>)), which is h(<1, p - b>) <= 1 + p - b, from the sail in
+    O(log p). Otherwise vertex-transitivity makes one source enough: breadth-first
+    search from 0, which stops at the first arc back to 0, once check_girth_budget
+    allows it.
     """
     return _shortest_cycles(G.modulus, [G.A])[0]
 
@@ -402,10 +403,12 @@ def shortest_cycle(G: CayleyGraph) -> int:
 def _shortest_cycles(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[int]:
     """shortest_cycle of each connection set in sets, all of one size.
 
-    The batch meets check_girth_budget before any search. At d = 2 all take
-    one kernel call; other sizes run one BFS each, over an O(p) distance list.
+    At d = 1 every girth is p, and d = 2 takes one kernel call. Larger sizes meet
+    check_girth_budget first, then run one BFS each over an O(p) distance list.
     """
     p, d = pm.p, len(sets[0])
+    if d == 1:
+        return [p] * len(sets)
     check_girth_budget(p, d)
     if d == 2:
         tails = [[p - b * pow(a, -1, p) % p] for a, b in sets]
@@ -414,9 +417,9 @@ def _shortest_cycles(pm: PrimeModulus, sets: Sequence[tuple[int, ...]]) -> list[
 
 
 def check_girth_budget(p: int, d: int) -> None:
-    """Refuse a girth search of p*d arcs past the default budget; d = 2 takes the sail."""
-    if d != 2 and p * d > DEFAULT_POINT_BUDGET:
-        raise BudgetExceededError(p * d, DEFAULT_POINT_BUDGET)
+    """Refuse a BFS of p*d arcs past the default budget; d <= 2 needs no search."""
+    if d > 2:
+        check_budget(p * d, DEFAULT_POINT_BUDGET)
 
 
 def _bfs_girth(A: tuple[int, ...], p: int) -> int:
@@ -543,9 +546,7 @@ def scan_css(
     if d < 1:
         raise ValueError("connection sets need d >= 1")
     primes = [p for p in primes_up_to(p_max) if p > 2]
-    total = sum(math.comb(p - 1, d) for p in primes)
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    check_budget(sum(math.comb(p - 1, d) for p in primes), budget)
     if exact:
         # each class graph has p vertices, and primes p <= d have no class
         _check_exact_cap([p for p in primes if p > d], cap)

@@ -28,6 +28,7 @@ from .cayley import (
 from .heights import (
     DEFAULT_POINT_BUDGET,
     BudgetExceededError,
+    check_budget,
     gap_scan,
     height,
     height_upper_bound,
@@ -184,9 +185,8 @@ def cmd_table(args: argparse.Namespace) -> OutputRecord:
         # a ranges over [2, p-2], empty below 5
         primes = [p for p in primes_up_to(args.pmax) if p >= max(args.pmin, 5)]
         parameters = {"pmin": args.pmin, "pmax": args.pmax}
-    too_big = next((p for p in primes if (p - 1) ** 2 > DEFAULT_POINT_BUDGET), None)
-    if too_big is not None:
-        raise BudgetExceededError((too_big - 1) ** 2, DEFAULT_POINT_BUDGET)
+    for p in primes:  # ascending, so the first prime past the budget is named
+        check_budget((p - 1) ** 2, DEFAULT_POINT_BUDGET)
     values = ([], [], [], [], [])
     for p in primes:
         # the arrays are indexed by a - 1

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -60,10 +61,10 @@ class BudgetExceededError(Exception):
         self.budget = budget
 
 
-def _charge(cells: int, budget: int | None) -> None:
-    """Refuse cells, a row's charge with the allocation it is about to make, past budget."""
-    if budget is not None and cells > budget:
-        raise BudgetExceededError(cells, budget)
+def check_budget(required: int, budget: int | None) -> None:
+    """Refuse work of required evaluations past budget (None is no limit); the one refusal."""
+    if budget is not None and required > budget:
+        raise BudgetExceededError(required, budget)
 
 
 def _odd_modulus(p: int | PrimeModulus) -> PrimeModulus:
@@ -188,7 +189,7 @@ def _lattice_height(
     basis = _reduced_basis(int(tail[0]), p)
     bound, known, spent = guess, 1 + int(tail.sum()), 0
     def charge(points: int) -> None:  # a round's point count, before it is listed
-        _charge(spent + n * points, budget)
+        check_budget(spent + n * points, budget)
     while (ks := _triangle_multipliers(*basis, p, bound - n, charge)) is not None:
         spent += n * len(ks)
         sums = _residue_sums(tail[None, :], ks, p)[0]
@@ -320,7 +321,7 @@ def _blocks(
         while k < p and len(live):
             need = int((ceiling[live] - floor[live]).max()) - k
             width = max(1, min(width, _BLOCK_CELLS // len(live), p - k, need))
-            _charge(spent + tails.shape[1] * (k - 1 + width), budget)
+            check_budget(spent + tails.shape[1] * (k - 1 + width), budget)
             yield live, k, _residue_sums(tails[live], np.arange(k, k + width, dtype=np.int64), p)
             k, width = k + width, 2 * width
             live = live[k + floor[live] < ceiling[live]]
@@ -530,8 +531,7 @@ def spectrum(p: int | PrimeModulus, d: int, budget: int = DEFAULT_POINT_BUDGET) 
     if d < 2:
         raise ValueError("spectra are defined for d >= 2")
     n_points = (p**d - 1) // (p - 1)
-    if n_points > budget:
-        raise BudgetExceededError(n_points, budget)
+    check_budget(n_points, budget)
     if n_points * d >= 2**63:
         raise ValueError("spectrum counts would overflow int64")
     tally = np.zeros(d * p, dtype=np.int64)  # every height is below d*p
@@ -576,8 +576,8 @@ def gap_scan(
     """Test whether P^1(F_p) achieves any height inside the given rational window.
 
     The comparison is exact: an achieved height h is inside iff
-    p/(r+1) + c < h < p/r - c as rationals. The achieved heights are the
-    cached line table's and 1; the p + 1 points count against the budget.
+    p/(r+1) + c < h < p/r - c as rationals. The achieved heights are
+    spectrum(p, 2).values, under its budget on the p + 1 points of P^1.
     """
     pm = _odd_modulus(p)
     if r < 1:
@@ -585,15 +585,12 @@ def gap_scan(
     c = Fraction(c)
     if c < 0:
         raise ValueError("c must be nonnegative")
-    if pm.p + 1 > budget:
-        raise BudgetExceededError(pm.p + 1, budget)
-    values = np.union1d(line_height_table(pm.p)[0], [1])
+    values = spectrum(pm, 2, budget).values
     lower = Fraction(pm.p, r + 1) + c
     upper = Fraction(pm.p, r) - c
     # for an integer v, lower < v < upper iff floor(lower) < v < ceil(upper)
-    start = np.searchsorted(values, math.floor(lower), side="right")
-    stop = np.searchsorted(values, math.ceil(upper), side="left")
-    inside = tuple(values[start:stop].tolist())
+    start, stop = bisect_right(values, math.floor(lower)), bisect_left(values, math.ceil(upper))
+    inside = values[start:stop]
     return GapScanReport(
         p=pm.p, r=r, c=c, lower=lower, upper=upper, empty=not inside, inside=inside
     )

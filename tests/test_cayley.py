@@ -20,6 +20,7 @@ from projheight.cayley import (
     CyclePacking,
     beta_exact,
     beta_upper,
+    check_girth_budget,
     css_check,
     cycle_packing,
     deletion_set,
@@ -653,7 +654,7 @@ class TestShortestCycle:
         assert json.loads(capsys.readouterr().out)["rows"][0]["shortest_cycle"] == 79
         assert bfs_girth((1, 5000, 77777), 1000003) == 79
 
-    @pytest.mark.parametrize("p,A", [(2000003, (1, 2, 3)), (5000011, (1,))])
+    @pytest.mark.parametrize("p,A", [(2000003, (1, 2, 3))])
     def test_budget_checked_before_the_search(self, p, A, monkeypatch):
         def no_search(*args, **kwargs):
             raise AssertionError("the girth search ran before the budget check")
@@ -662,6 +663,22 @@ class TestShortestCycle:
         with pytest.raises(BudgetExceededError) as info:
             shortest_cycle(CayleyGraph(p, A))
         assert info.value.required == p * len(A)
+
+    @pytest.mark.parametrize("p,A", [(5000011, (1,)), (2147483647, (5,))])
+    def test_one_step_set_needs_no_search(self, p, A, monkeypatch):
+        # one step a first returns to 0 after p steps, so d = 1 is answered at
+        # any p, past the girth budget, and check_girth_budget lets it through
+        def no_search(*args, **kwargs):
+            raise AssertionError("the girth search ran at d = 1")
+
+        monkeypatch.setattr("projheight.cayley._bfs_girth", no_search)
+        check_girth_budget(p, 1)
+        assert shortest_cycle(CayleyGraph(p, A)) == p
+
+    def test_one_step_sets_match_bfs(self):
+        for p in primes_up_to(61):
+            for a in range(1, p):
+                assert shortest_cycle(CayleyGraph(p, (a,))) == bfs_girth((a,), p) == p, (p, a)
 
     def test_pairs_take_the_sail_past_the_budget(self, monkeypatch):
         def no_search(*args, **kwargs):

@@ -341,6 +341,30 @@ class TestScanCommand:
 
 class TestExitCodes:
     @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["gaps", "--pmax", "5000100"], "5000088 evaluations, budget is 5000000"),
+            (["spectrum", "-p", "5", "-d", "3", "--budget", "10"], "31 evaluations, budget is 10"),
+            (["table", "--pmin", "3", "--pmax", "2239"], "5008644 evaluations, budget is 5000000"),
+            # the first prime past the budget is named, 2239, not the largest, 2297
+            (["table", "--pmin", "3", "--pmax", "2300"], "5008644 evaluations, budget is 5000000"),
+            (["scan", "--pmax", "101", "-d", "4"], "17085801 evaluations, budget is 5000000"),
+            (
+                ["cayley", "-p", "2000003", "-A", "1,2,3", "--girth"],
+                "6000009 evaluations, budget is 5000000",
+            ),
+            (
+                ["height", "-p", "100000007", "-a", "1,1,100000006"],
+                "5219330 evaluations, budget is 5000000",
+            ),
+        ],
+        ids=["gaps", "spectrum", "table", "table-first", "scan", "cayley", "height"],
+    )
+    def test_budget_refusals(self, argv, err, capsys):
+        # every command refuses through heights.check_budget, with one message
+        assert run(argv, capsys) == (EXIT_LIMIT, "", f"error: enumeration needs {err}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["height", "-p", "4", "-a", "1,2"],

@@ -1028,6 +1028,26 @@ def test_gap_scan_windows():
     assert info.value.required == 12
 
 
+def test_check_budget_edges():
+    heights.check_budget(10, 10)
+    heights.check_budget(10**30, None)
+    with pytest.raises(BudgetExceededError) as info:
+        heights.check_budget(11, 10)
+    assert (info.value.required, info.value.budget) == (11, 10)
+    assert str(info.value) == "enumeration needs 11 evaluations, budget is 10"
+
+
+def test_gap_scan_matches_brute_line_heights():
+    # the heights of P^1: 1 at <0, 1>, and by definition min_k (k + k*a mod p) at <1, a>
+    for p in (q for q in primes_up_to(101) if q > 2):
+        values = {1} | {min(k + k * a % p for k in range(1, p)) for a in range(1, p)}
+        for r in (1, 2, 3):
+            for c in (0, Fraction(1, 2), 1):
+                lo, hi = Fraction(p, r + 1) + c, Fraction(p, r) - c
+                want = tuple(sorted(v for v in values if lo < v < hi))
+                assert gap_scan(p, r, c).inside == want, (p, r, c)
+
+
 def test_gap_scan_exact_rational_window():
     rep = gap_scan(11, 1, Fraction(1, 2))
     assert rep.lower == Fraction(6) and rep.upper == Fraction(21, 2)
