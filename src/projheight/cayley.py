@@ -49,12 +49,11 @@ class CapExceededError(Exception):
         self.cap = cap
 
 
-def _check_exact_cap(sizes: Iterable[int], cap: int) -> None:
-    """Refuse the first graph of sizes vertices past min(cap, EXACT_CEILING)."""
-    limit = min(cap, EXACT_CEILING)
-    for size in sizes:
-        if size > limit:
-            raise CapExceededError(size, limit)
+def _check_exact_cap(size: int, cap: int, ceiling: int = EXACT_CEILING) -> None:
+    """Refuse a graph of size vertices past min(cap, ceiling); the one exact-cap refusal."""
+    cap = min(cap, ceiling)
+    if size > cap:
+        raise CapExceededError(size, cap)
 
 
 @dataclass(frozen=True)
@@ -353,7 +352,8 @@ def beta_exact(edge_list: Iterable[Edge], cap: int = DEFAULT_EXACT_CAP) -> int:
     equals |E| minus the maximum forward-edge count over all orders. That
     maximum satisfies best(S) = max over v in S of best(S - v) plus the number
     of edges into v from S - v, a DP over vertex subsets evaluated here one
-    popcount layer at a time. Time O(m * 2^m); refuses past min(cap, DP_CEILING) vertices.
+    popcount layer at a time. Time O(m * 2^m); _check_exact_cap refuses m past
+    min(cap, DP_CEILING) vertices before any table is built.
     """
     simple: set[Edge] = set()
     loops: set[Edge] = set()
@@ -362,9 +362,7 @@ def beta_exact(edge_list: Iterable[Edge], cap: int = DEFAULT_EXACT_CAP) -> int:
     # labels are numbered as first seen: they need not be comparable
     seen = {w: i for i, w in enumerate(dict.fromkeys(w for e in (*simple, *loops) for w in e))}
     m = len(seen)
-    limit = min(cap, DP_CEILING)
-    if m > limit:
-        raise CapExceededError(m, limit)
+    _check_exact_cap(m, cap, DP_CEILING)
     if not simple:
         return len(loops)
     pred = [0] * m
@@ -469,18 +467,18 @@ def css_check(G: CayleyGraph, exact: bool = False, cap: int = DEFAULT_EXACT_CAP)
     beta_upper <= (p-1)/2 <= gamma/2; a triangle-free graph with an exact beta
     must satisfy beta_exact <= gamma/2. Failures are recorded, not raised.
 
-    With exact, a graph past the cap is refused before any work. Then
-    beta_exact = beta_upper when cycle_packing finds a packing that
-    packing_settles accepts: beta_upper >= beta >= ceil(p * sum y) >=
-    beta_upper. Only when the packing leaves a gap does the subset DP run,
-    and a graph past min(cap, DP_CEILING) vertices is refused first. Every
-    rotation is an automorphism, so some optimal order puts 0 first; its d
-    in-edges go backward and its out-edges forward, so beta = d + beta(G - 0),
-    a DP on p - 1 vertices. This is the batch of one; scan_css audits a whole
-    prime in one batch.
+    With exact, _check_exact_cap refuses a graph past min(cap, EXACT_CEILING)
+    vertices before any work. Then beta_exact = beta_upper when cycle_packing
+    finds a packing that packing_settles accepts: beta_upper >= beta >=
+    ceil(p * sum y) >= beta_upper. Only when the packing leaves a gap does the
+    subset DP run, and _check_exact_cap first refuses a graph past
+    min(cap, DP_CEILING) vertices. Every rotation is an automorphism, so some
+    optimal order puts 0 first; its d in-edges go backward and its out-edges
+    forward, so beta = d + beta(G - 0), a DP on p - 1 vertices. This is the
+    batch of one; scan_css audits a whole prime in one batch.
     """
     if exact:
-        _check_exact_cap([G.p], cap)
+        _check_exact_cap(G.p, cap)
     return next(_audit(G.modulus, [G], [None], exact, cap))
 
 
@@ -489,7 +487,6 @@ def _audit(
 ) -> Iterator[BetaReport]:
     """css_check's report of each graph on pm, built once, with girths[i] as its girth."""
     uppers = _upper_bounds(pm, [G.A for G in graphs])
-    limit = min(cap, DP_CEILING)
     for G, (upper, witness_k), girth in zip(graphs, uppers, girths):
         # A holds no 0, so a girth above 3 leaves no zero-sum multiset of 2 or 3 elements
         triangle = None if girth is not None and girth > 3 else is_triangle_free(G)
@@ -499,9 +496,8 @@ def _audit(
             packing = cycle_packing(G, upper)
             if packing is not None and packing_settles(G, packing, upper):
                 exact_beta = upper
-            elif G.p > limit:
-                raise CapExceededError(G.p, limit)
             else:
+                _check_exact_cap(G.p, cap, DP_CEILING)
                 exact_beta = G.d + beta_exact([(u, v) for u, v in edges(G) if u and v], cap=cap)
         violations: list[str] = []
         if triangle is None:
@@ -536,12 +532,14 @@ def scan_css(
 
     Sets are enumerated up to scalar equivalence (A and cA are isomorphic via
     x -> cx). Each prime is one css_check batch with its girths, each row built
-    once. The budget counts all C(p-1, d) d-subsets per prime, up to p - 1 per class,
-    as each class is audited in O(p*d); only C(p-2, d-1) of them are tested. With
-    exact, the first prime past the cap is refused before any work. Primes are
+    once. The budget counts all C(p-1, d) d-subsets per prime, up to p - 1 per
+    class, though only C(p-2, d-1) are tested: at d >= 3 a class's girth BFS may
+    visit all p vertices, while at d <= 2 no class needs a search. With
+    exact, _check_exact_cap meets every prime p > d in ascending order, so the
+    first past min(cap, EXACT_CEILING) is refused before any work. Primes are
     audited from the largest down, so those past min(cap, DP_CEILING), where
     only a packing settles beta, come first and a packing gap there is refused
-    before any DP runs; the rows are returned in ascending p.
+    by the same check before any DP runs; the rows are returned in ascending p.
     """
     if d < 1:
         raise ValueError("connection sets need d >= 1")
@@ -549,7 +547,9 @@ def scan_css(
     check_budget(sum(math.comb(p - 1, d) for p in primes), budget)
     if exact:
         # each class graph has p vertices, and primes p <= d have no class
-        _check_exact_cap([p for p in primes if p > d], cap)
+        for p in primes:
+            if p > d:
+                _check_exact_cap(p, cap)
     batches = []
     for p in reversed(primes):
         pm = PrimeModulus(p)

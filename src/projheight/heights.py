@@ -297,63 +297,53 @@ def _sail_heights(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return best, best_k
 
 
-def _blocks(
-    tails: np.ndarray, p: int, ceiling: np.ndarray, ties: bool, budget: int | None, spent: int
+def _blocked_heights(
+    tails: np.ndarray, p: int, ceiling=None, ties: bool = False, budget: int | None = None, spent=0
 ):
-    """Yield (rows, k, sums): the residue sums of tails[rows] at k, k + 1, ..., one block at a time.
+    """heights_of by scanning multipliers in blocks, for rows of any number of nonzeros.
 
-    The k-th sum of <1, t> is at least k + (nonzeros of t), so a row is read
-    only while k + nonzeros < ceiling[row], which the caller may lower between
-    blocks; with ties=True, while k + nonzeros <= ceiling[row], since a tie
-    whose residues are all 1 sits at k = h - nonzeros. A block covers at most
-    _BLOCK_CELLS cells. Its width starts at _FIRST_WIDTH and doubles, but the
-    block never passes p - 1 or the last k that some live row still needs.
-    More rows than _BLOCK_CELLS // _MIN_WIDTH are split into equal groups,
-    each scanned from k = 1 on its own, so no block is narrower than _MIN_WIDTH.
-    Each live row of a group has read k - 1 multipliers: spent + (k - 1 + width)*columns.
+    Each row's best sum so far is its ceiling. The k-th sum of <1, t> is at
+    least k + (nonzeros of t), so a row is read only while k + nonzeros is
+    below its best; with ties=True, while it is at most its best, since a tie
+    whose residues are all 1 sits at k = h - nonzeros. Only a strictly smaller
+    sum replaces the best, so argmins keep the least k; with ties=True each
+    block keeps its cells equal to the best so far. A row's best first reaches
+    its height at its argmin and stays there, so the kept cells below the
+    argmin, of a best later beaten, are dropped. A given ceiling must exceed
+    every row's height; by default U + 1, one above the sum at k = 1.
+
+    A block covers at most _BLOCK_CELLS cells. Its width starts at _FIRST_WIDTH
+    and doubles, but the block never passes p - 1 or the last k that some live
+    row still needs. More rows than _BLOCK_CELLS // _MIN_WIDTH are split into
+    equal groups, each scanned from k = 1 on its own, so no block is narrower
+    than _MIN_WIDTH. Each live row of a group has read k - 1 multipliers, so a
+    block is charged spent + (k - 1 + width)*columns before its sums.
     """
+    if ceiling is None:
+        ceiling = tails.sum(axis=1) + 2
     n = len(tails)
+    heights = np.full(n, ceiling, dtype=np.int64)
+    argmins = np.ones(n, dtype=np.int64)
+    found = [np.empty((0, 2), dtype=np.int64)]
     floor = np.count_nonzero(tails, axis=1) - ties
     groups = -(-n // max(1, _BLOCK_CELLS // _MIN_WIDTH))
     for g in range(groups):
         live = np.arange(g * n // groups, (g + 1) * n // groups)
         k, width = 1, _FIRST_WIDTH
         while k < p and len(live):
-            need = int((ceiling[live] - floor[live]).max()) - k
+            need = int((heights[live] - floor[live]).max()) - k
             width = max(1, min(width, _BLOCK_CELLS // len(live), p - k, need))
             check_budget(spent + tails.shape[1] * (k - 1 + width), budget)
-            yield live, k, _residue_sums(tails[live], np.arange(k, k + width, dtype=np.int64), p)
+            sums = _residue_sums(tails[live], np.arange(k, k + width, dtype=np.int64), p)
+            arg = sums.argmin(axis=1)
+            low = sums[np.arange(len(live)), arg]
+            better = low < heights[live]
+            heights[live[better]], argmins[live[better]] = low[better], k + arg[better]
+            if ties:
+                rows, ks = np.nonzero(sums == heights[live, None])
+                found.append(np.column_stack([live[rows], k + ks]))
             k, width = k + width, 2 * width
-            live = live[k + floor[live] < ceiling[live]]
-
-
-def _blocked_heights(
-    tails: np.ndarray, p: int, ceiling=None, ties: bool = False, budget: int | None = None, spent=0
-):
-    """heights_of by scanning multipliers, for rows of any number of nonzeros.
-
-    The scan walks _blocks with each row's best sum so far as its ceiling, so
-    a row stops once k + (nonzeros of t) reaches its best (passes it, with
-    ties=True). Only a strictly smaller sum replaces the best, so argmins keep
-    the least k; with ties=True each block keeps its cells equal to the best so
-    far. A row's best first reaches its height at its argmin and stays there,
-    so the kept cells below the argmin, of a best later beaten, are dropped. A
-    given ceiling must exceed every row's height; by default U + 1, one above the
-    sum at k = 1. Each row is charged from spent cells on (_blocks).
-    """
-    if ceiling is None:
-        ceiling = tails.sum(axis=1) + 2
-    heights = np.full(len(tails), ceiling, dtype=np.int64)
-    argmins = np.ones(len(tails), dtype=np.int64)
-    found = [np.empty((0, 2), dtype=np.int64)]
-    for live, k, sums in _blocks(tails, p, heights, ties, budget, spent):
-        arg = sums.argmin(axis=1)
-        low = sums[np.arange(len(live)), arg]
-        better = low < heights[live]
-        heights[live[better]], argmins[live[better]] = low[better], k + arg[better]
-        if ties:
-            rows, ks = np.nonzero(sums == heights[live, None])
-            found.append(np.column_stack([live[rows], k + ks]))
+            live = live[k + floor[live] < heights[live]]
     if not ties:
         return heights, argmins
     found = np.concatenate(found)

@@ -14,6 +14,7 @@ import pytest
 from projheight.cayley import (
     DEFAULT_EXACT_CAP,
     DP_CEILING,
+    EXACT_CEILING,
     BetaReport,
     CapExceededError,
     CayleyGraph,
@@ -31,6 +32,7 @@ from projheight.cayley import (
     packing_settles,
     scan_css,
     shortest_cycle,
+    _check_exact_cap,
 )
 from projheight.cli import EXIT_OK, main
 from projheight.heights import BudgetExceededError, height
@@ -502,6 +504,20 @@ class TestBetaExact:
         with pytest.raises(CapExceededError):
             beta_exact(path, cap=100)
         assert beta_exact(path[:10], cap=11) == 0
+
+
+class TestCheckExactCap:
+    # the default ceiling is EXACT_CEILING; a cap above the ceiling is clamped to it
+    @pytest.mark.parametrize(
+        "cap, ceiling, limit", [(24, (), 24), (100, (), EXACT_CEILING), (29, (DP_CEILING,), 26)]
+    )
+    def test_edges(self, cap, ceiling, limit):
+        # a graph of exactly min(cap, ceiling) vertices passes, and one more is refused
+        _check_exact_cap(limit, cap, *ceiling)
+        with pytest.raises(CapExceededError) as info:
+            _check_exact_cap(limit + 1, cap, *ceiling)
+        assert (info.value.size, info.value.cap) == (limit + 1, limit)
+        assert str(info.value) == f"graph has {limit + 1} vertices, exact cap is {limit}"
 
 
 # classes with p <= 19 and d <= 3, or p <= 13 and d = 4

@@ -365,6 +365,34 @@ class TestExitCodes:
         assert run(argv, capsys) == (EXIT_LIMIT, "", f"error: enumeration needs {err}\n")
 
     @pytest.mark.parametrize(
+        "cap, argv, err",
+        [
+            (None, "cayley -p 1000003 -A 1,2 --exact", "graph has 1000003 vertices, exact cap is 24"),
+            # the packing leaves a gap, and the DP ceiling refuses before any table
+            ("29", "cayley -p 29 -A 1,7,16 --exact", "graph has 29 vertices, exact cap is 26"),
+            # the first prime past the cap is named, 29, not the largest, 31
+            (None, "scan --pmax 31 -d 2 --exact", "graph has 29 vertices, exact cap is 24"),
+            ("100", "scan --pmax 31 -d 2 --exact", "graph has 31 vertices, exact cap is 30"),
+            ("29", "scan --pmax 29 -d 3 --exact", "graph has 29 vertices, exact cap is 26"),
+            (None, "cayley -p 29 -A 1,7 --exact --girth", "graph has 29 vertices, exact cap is 24"),
+            # the girth budget is met before the exact cap
+            (
+                None,
+                "cayley -p 2000003 -A 1,2,3 --exact --girth",
+                "enumeration needs 6000009 evaluations, budget is 5000000",
+            ),
+        ],
+        ids=["cayley", "cayley-dp", "scan", "scan-ceiling", "scan-dp", "girth", "girth-budget"],
+    )
+    def test_exact_cap_refusals(self, cap, argv, err, capsys, monkeypatch):
+        # every exact-cap refusal is raised by cayley._check_exact_cap, with one message
+        if cap is None:
+            monkeypatch.delenv("PROJHEIGHT_EXACT_CAP", raising=False)
+        else:
+            monkeypatch.setenv("PROJHEIGHT_EXACT_CAP", cap)
+        assert run(argv.split(), capsys) == (EXIT_LIMIT, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["height", "-p", "4", "-a", "1,2"],
@@ -517,7 +545,9 @@ class TestExitCodes:
     )
     def test_height_and_cayley_price_a_point_alike(self, p, A, capsys):
         # beta <= h(<A>) makes beta_upper the height of <A>, from one kernel
-        # under one cell count, so the two commands compute or refuse together
+        # under one cell count, so the two commands compute or refuse together.
+        # The random sets are drawn below p/2, so they hold no digon {a, p - a},
+        # which cayley drops before the kernel runs and height does not
         a = ",".join(map(str, A))
         h_code, h_out, h_err = run(["height", "-p", str(p), "-a", a, "--format", "csv"], capsys)
         c_code, c_out, c_err = run(["cayley", "-p", str(p), "-A", a, "--format", "csv"], capsys)
@@ -527,6 +557,17 @@ class TestExitCodes:
             assert h_rows[0][h_head.index("height")] == c_rows[0][c_head.index("beta_upper")]
         else:
             assert h_code == EXIT_LIMIT and h_err.startswith("error: enumeration needs ")
+
+    def test_digon_priced_by_cayley_alone(self, capsys):
+        # the known difference: cayley drops the digon {1, p - 1} (exactly p at every
+        # multiplier) before the kernel runs, while height scans the zero-sum point
+        # and is refused. A digon rule in the kernel must flip this to exit 0 for both
+        p, A = "100000007", "1,2,100000006"
+        code, out, err = run(["cayley", "-p", p, "-A", A], capsys)
+        assert code == EXIT_OK and err == "" and "beta_upper: 100000008" in out
+        code, out, err = run(["height", "-p", p, "-a", A], capsys)
+        assert (code, out) == (EXIT_LIMIT, "")
+        assert err == "error: enumeration needs 5049686 evaluations, budget is 5000000\n"
 
     def test_scan_budget_still_counts_rows_past_m_full_columns(self, capsys):
         # 2 tails * (p - 1) cells pass the budget, so each point is metered as it

@@ -326,23 +326,23 @@ def test_scan_stops_at_each_rows_bound(monkeypatch):
 
 
 def test_single_point_settled_by_the_lattice_reads_no_scan_block(monkeypatch):
-    blocks, rounds = [], []
-    scan, triangle = heights._blocks, heights._triangle_multipliers
+    # every scan block is read inside _blocked_heights, so no call means no block
+    scans, rounds = [], []
+    scan, triangle = heights._blocked_heights, heights._triangle_multipliers
 
-    def block_spy(*args):
-        for block in scan(*args):
-            blocks.append(block)
-            yield block
+    def scan_spy(*args):
+        scans.append(args)
+        return scan(*args)
 
     def round_spy(*args):
         rounds.append(args)
         return triangle(*args)
 
-    monkeypatch.setattr(heights, "_blocks", block_spy)
+    monkeypatch.setattr(heights, "_blocked_heights", scan_spy)
     monkeypatch.setattr(heights, "_triangle_multipliers", round_spy)
     settled = 0
     for p, tails in seeded_points(random.Random(19), 3, 10**6, 10**6 + 10**4, 10):
-        blocks.clear()
+        scans.clear()
         rounds.clear()
         got = [int(x[0]) for x in heights.heights_of(tails, p)]
         sums = brute_sums(tails, p)[0]
@@ -350,7 +350,7 @@ def test_single_point_settled_by_the_lattice_reads_no_scan_block(monkeypatch):
         assert rounds, (p, tails)
         if len(rounds) == 1:
             settled += 1
-            assert blocks == [], (p, tails)
+            assert scans == [], (p, tails)
     assert settled >= 5
 
 
@@ -714,26 +714,26 @@ class TestTies:
 
 def test_beta_upper_settled_in_lattice_round_one_reads_no_scan_block(monkeypatch):
     # the witness comes from the round that settles the height; no block is rescanned
-    blocks, rounds = [], []
-    scan, triangle = heights._blocks, heights._triangle_multipliers
+    # every scan block is read inside _blocked_heights, so no call means no block
+    scans, rounds = [], []
+    scan, triangle = heights._blocked_heights, heights._triangle_multipliers
 
-    def block_spy(*args):
-        for block in scan(*args):
-            blocks.append(block)
-            yield block
+    def scan_spy(*args):
+        scans.append(args)
+        return scan(*args)
 
     def round_spy(*args):
         rounds.append(args)
         return triangle(*args)
 
-    monkeypatch.setattr(heights, "_blocks", block_spy)
+    monkeypatch.setattr(heights, "_blocked_heights", scan_spy)
     monkeypatch.setattr(heights, "_triangle_multipliers", round_spy)
     settled = 0
     for p, tails in seeded_points(random.Random(26), 3, 10**6, 10**6 + 10**4, 10):
         A = tuple(sorted({1, *tails[0].tolist()}))
         if len(A) < 3 or any(p - a in A for a in A):
             continue
-        blocks.clear()
+        scans.clear()
         rounds.clear()
         got = beta_upper(CayleyGraph(p, A))
         sums = brute_sums(np.array([A[1:]], dtype=np.int64), p)[0]
@@ -742,7 +742,7 @@ def test_beta_upper_settled_in_lattice_round_one_reads_no_scan_block(monkeypatch
         assert got == (h, min(pow(int(v), -1, p) for v in np.flatnonzero(sums == h) + 1)), (p, A)
         if len(rounds) == 1:
             settled += 1
-            assert blocks == [], (p, A)
+            assert scans == [], (p, A)
     assert settled >= 5
 
 
