@@ -10,6 +10,7 @@ inequality beta <= gamma/2 on triangle-free graphs.
 
 from __future__ import annotations
 
+import graphlib
 import heapq
 import itertools
 import math
@@ -108,29 +109,17 @@ def gamma(G: CayleyGraph) -> int:
 
 
 def is_acyclic(edge_list: Iterable[Edge]) -> bool:
-    """True iff the digraph on the labels appearing in edge_list has no cycle.
+    """True iff the digraph on the labels in edge_list has no cycle; a loop (x, x) is one.
 
-    Peels vertices of outdegree 0 repeatedly; the graph is acyclic iff
-    everything peels.
-    """
-    eset = set(edge_list)
-    outdeg: dict[Hashable, int] = {}
-    preds: dict[Hashable, list[Hashable]] = {}
-    for u, v in eset:
-        outdeg[u] = outdeg.get(u, 0) + 1
-        outdeg.setdefault(v, 0)
-        preds.setdefault(v, []).append(u)
-        preds.setdefault(u, [])
-    stack = [v for v, deg in outdeg.items() if deg == 0]
-    removed = 0
-    while stack:
-        v = stack.pop()
-        removed += 1
-        for u in preds[v]:
-            outdeg[u] -= 1
-            if outdeg[u] == 0:
-                stack.append(u)
-    return removed == len(outdeg)
+    graphlib's topological sort decides it, independently of any vertex ordering."""
+    sorter = graphlib.TopologicalSorter()
+    for u, v in edge_list:
+        sorter.add(v, u)
+    try:
+        sorter.prepare()
+    except graphlib.CycleError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

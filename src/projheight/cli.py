@@ -175,6 +175,8 @@ def _line_methods(p: int) -> list[str]:
 
 def cmd_table(args: argparse.Namespace) -> OutputRecord:
     if args.paper_range:
+        if args.pmin is not None or args.pmax is not None:
+            raise ValueError("--paper-range takes no --pmin or --pmax")
         primes = list(PAPER_RANGE_PRIMES)
         parameters = {"paper_range": True}
     else:

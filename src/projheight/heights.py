@@ -421,7 +421,7 @@ def line_bound_certificates(a: int, p: int | PrimeModulus) -> list[tuple[str, in
     ]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # each table is 16*p bytes; 256 hold every odd prime up to 997
 def line_height_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Heights and smallest argmin multipliers of <1, a> for a = 1..p-1.
 
@@ -530,7 +530,8 @@ def spectrum(p: int | PrimeModulus, d: int, budget: int = DEFAULT_POINT_BUDGET) 
     for j in range(3, d + 1):
         tails, sizes = _orbits(p, j)
         np.add.at(tally, heights_of(tails, p)[0], math.comb(d, j) * sizes)
-    values = tuple(np.flatnonzero(tally).tolist())
+    attained = np.flatnonzero(tally)
+    values = tuple(attained.tolist())
     gaps = tuple(
         (lo, hi) for lo, hi in zip(values, values[1:]) if hi > lo + 1
     )
@@ -539,7 +540,7 @@ def spectrum(p: int | PrimeModulus, d: int, budget: int = DEFAULT_POINT_BUDGET) 
         d=d,
         values=values,
         max_height=values[-1],
-        count_per_value={v: int(tally[v]) for v in values},
+        count_per_value=dict(zip(values, tally[attained].tolist())),
         gaps=gaps,
     )
 

@@ -17,8 +17,6 @@ from typing import Sequence
 
 SCHEMA_VERSION = "1"
 
-FORMATS = ("text", "csv", "json")
-
 
 @dataclass(frozen=True)
 class OutputRecord:
@@ -141,11 +139,11 @@ def render_text(record: OutputRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
+RENDERERS = {"text": render_text, "csv": render_csv, "json": render_json}
+FORMATS = tuple(RENDERERS)
+
+
 def render(record: OutputRecord, fmt: str) -> str:
-    if fmt == "text":
-        return render_text(record)
-    if fmt == "csv":
-        return render_csv(record)
-    if fmt == "json":
-        return render_json(record)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in RENDERERS:
+        raise ValueError(f"unknown format {fmt!r}")
+    return RENDERERS[fmt](record)

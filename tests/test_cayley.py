@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from projheight.cayley import (
     DEFAULT_EXACT_CAP,
@@ -305,6 +307,18 @@ class TestIsAcyclic:
     def test_cayley_graph_never_acyclic(self):
         for p, A in SMALL[:20]:
             assert not is_acyclic(edges(CayleyGraph(p, A)))
+
+    # 0 and "0" are distinct labels; a drawn (x, x) is a loop
+    LABEL = st.sampled_from((0, 1, 2, "0", "a", "b"))
+
+    @given(st.lists(st.tuples(LABEL, LABEL), max_size=12))
+    def test_matches_brute_orderings(self, edge_list):
+        labels = {w for edge in edge_list for w in edge}
+        forward = any(
+            all(order.index(u) < order.index(v) for u, v in edge_list)
+            for order in itertools.permutations(labels)
+        )
+        assert is_acyclic(edge_list) == forward
 
 
 class TestDeletionSet:

@@ -114,6 +114,14 @@ class TestTableCommand:
         code, _, _ = run(["table", "--pmin", "11", "--pmax", "7"], capsys)
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "bounds", [["--pmin", "3", "--pmax", "5"], ["--pmin", "3"], ["--pmax", "5"]]
+    )
+    def test_paper_range_refuses_bounds(self, bounds, capsys):
+        code, out, err = run(["table", "--paper-range", *bounds], capsys)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: --paper-range takes no --pmin or --pmax\n"
+
 
 class TestSpectrumCommand:
     def test_line_spectrum(self, capsys):
@@ -151,6 +159,12 @@ class TestGapsCommand:
         assert payload["summary"]["windows_all_empty"] is False
         by_p = {r["p"]: r for r in payload["rows"]}
         assert by_p[11]["inside"] == "6"
+
+    def test_line_table_cache_is_bounded(self, capsys):
+        code, out, _ = run(["gaps", "--pmax", "1700", "--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert json.loads(out)["summary"]["primes"] > 256
+        assert heights.line_height_table.cache_info().currsize <= 256
 
     def test_bad_r(self, capsys):
         code, _, _ = run(["gaps", "--pmax", "11", "--r", "0"], capsys)
@@ -406,6 +420,23 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gaps", "--pmax", "7", "--c", "1/0"], "argument --c: not a rational number: '1/0'"),
+            (
+                ["height", "-p", "11", "-a", "2,3", "--budget", "x"],
+                "argument --budget: not an integer: 'x'",
+            ),
+        ],
+    )
+    def test_malformed_option_is_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (info.value.code, captured.out) == (EXIT_INPUT, "")
+        assert captured.err.endswith(f": error: {message}\n")
+
     def test_missing_argument_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["height", "-p", "11"])
@@ -623,6 +654,10 @@ class TestExitCodes:
         monkeypatch.setenv("PROJHEIGHT_EXACT_CAP", "abc")
         code, _, _ = run(["cayley", "-p", "11", "-A", "1,7", "--exact"], capsys)
         assert code == EXIT_INPUT
+        monkeypatch.setenv("PROJHEIGHT_EXACT_CAP", "0")
+        code, out, err = run(["cayley", "-p", "11", "-A", "1,7", "--exact"], capsys)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: PROJHEIGHT_EXACT_CAP must be positive\n"
 
 
 class TestDeterminism:
@@ -699,9 +734,10 @@ def test_table_methods_match_line_fast_path():
 
 
 def test_module_entry_point_matches_main(capsys):
-    argv = ["height", "-p", "11", "-a", "2,3", "--format", "csv"]
+    argv = ["height", "-p", "11", "-a", "2,3"]
     code = main(argv)
     out = capsys.readouterr().out
+    assert (code, out) == (EXIT_OK, (GOLDEN / "height.text").read_text(encoding="utf-8"))
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(

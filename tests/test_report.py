@@ -9,6 +9,7 @@ import pytest
 
 from projheight.cli import build_parser, cmd_table
 from projheight.report import (
+    FORMATS,
     OutputRecord,
     cell,
     render,
@@ -185,3 +186,10 @@ def test_record_columns_have_one_length():
         OutputRecord("synthetic", {}, ("a", "b"), ([1, 2], [3]), {})
     rec = OutputRecord("synthetic", {}, ("a", "b"), ([1, 2], [3, 4]), {})
     assert rec.rows == ((1, 3), (2, 4))
+
+
+def test_unknown_format_refused():
+    rec = SYNTHETIC["single_cell"]
+    assert [render(rec, fmt) for fmt in FORMATS] == [new(rec) for new, _ in RENDERERS]
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render(rec, "xml")
