@@ -23,12 +23,13 @@ import numpy as np
 
 from .heights import DEFAULT_POINT_BUDGET, check_budget, heights_of
 from .modular import (
+    MAX_MODULUS,
     PrimeModulus,
     as_modulus,
     canonical_connection_sets,
     connection_set_residues,
+    is_prime,
     mod_inverse,
-    primes_up_to,
 )
 
 DEFAULT_EXACT_CAP = 24
@@ -521,24 +522,25 @@ def scan_css(
 
     Sets are enumerated up to scalar equivalence (A and cA are isomorphic via
     x -> cx). Each prime is one css_check batch with its girths, each row built
-    once. The budget counts all C(p-1, d) d-subsets per prime, up to p - 1 per
-    class, though only C(p-2, d-1) are tested: at d >= 3 a class's girth BFS may
-    visit all p vertices, while at d <= 2 no class needs a search. With
-    exact, _check_exact_cap meets every prime p > d in ascending order, so the
-    first past min(cap, EXACT_CEILING) is refused before any work. Primes are
-    audited from the largest down, so those past min(cap, DP_CEILING), where
-    only a packing settles beta, come first and a packing gap there is refused
-    by the same check before any DP runs; the rows are returned in ascending p.
+    once. Primes p are walked up by is_prime from max(3, d + 1), since p <= d
+    has no class, to min(p_max, MAX_MODULUS). The budget meets the running total
+    of C(p-1, d) d-subsets at each prime found, before any work: about p - 1 per
+    class tested, as a girth BFS at d >= 3 may visit all p vertices. With exact,
+    _check_exact_cap then meets every prime in ascending order, so the first
+    past min(cap, EXACT_CEILING) is refused before any work. The audit runs
+    from the largest prime down, so a packing gap past min(cap, DP_CEILING) is
+    refused by the same check before any DP runs; rows come in ascending p.
     """
     if d < 1:
         raise ValueError("connection sets need d >= 1")
-    primes = [p for p in primes_up_to(p_max) if p > 2]
-    check_budget(sum(math.comb(p - 1, d) for p in primes), budget)
+    primes, total = [], 0
+    for p in filter(is_prime, range(max(3, d + 1), min(p_max, MAX_MODULUS) + 1)):
+        total += math.comb(p - 1, d)
+        check_budget(total, budget)
+        primes.append(p)
     if exact:
-        # each class graph has p vertices, and primes p <= d have no class
-        for p in primes:
-            if p > d:
-                _check_exact_cap(p, cap)
+        for p in primes:  # each class graph has p vertices
+            _check_exact_cap(p, cap)
     batches = []
     for p in reversed(primes):
         pm = PrimeModulus(p)

@@ -38,7 +38,7 @@ from .heights import (
     line_height_table,
     spectrum,
 )
-from .modular import canonicalize, d_star, primes_up_to
+from .modular import MAX_MODULUS, canonicalize, d_star, is_prime
 from .report import FORMATS, OutputRecord, cell, render
 
 EXIT_OK = 0
@@ -177,18 +177,20 @@ def cmd_table(args: argparse.Namespace) -> OutputRecord:
     if args.paper_range:
         if args.pmin is not None or args.pmax is not None:
             raise ValueError("--paper-range takes no --pmin or --pmax")
-        primes = list(PAPER_RANGE_PRIMES)
+        walk = PAPER_RANGE_PRIMES
         parameters = {"paper_range": True}
     else:
         if args.pmin is None or args.pmax is None:
             raise ValueError("either --paper-range or both --pmin and --pmax are required")
         if args.pmin > args.pmax:
             raise ValueError("--pmin must not exceed --pmax")
-        # a ranges over [2, p-2], empty below 5
-        primes = [p for p in primes_up_to(args.pmax) if p >= max(args.pmin, 5)]
+        # a ranges over [2, p-2], empty below 5; no prime past MAX_MODULUS is a modulus
+        walk = filter(is_prime, range(max(args.pmin, 5), min(args.pmax, MAX_MODULUS) + 1))
         parameters = {"pmin": args.pmin, "pmax": args.pmax}
-    for p in primes:  # ascending, so the first prime past the budget is named
+    primes = []
+    for p in walk:  # ascending, so the first prime past the budget is named, before any table
         check_budget((p - 1) ** 2, DEFAULT_POINT_BUDGET)
+        primes.append(p)
     values = ([], [], [], [], [])
     for p in primes:
         # the arrays are indexed by a - 1
@@ -232,9 +234,9 @@ def cmd_gaps(args: argparse.Namespace) -> OutputRecord:
     if args.pmin is not None and args.pmin > args.pmax:
         raise ValueError("--pmin must not exceed --pmax")
     pmin = 3 if args.pmin is None else args.pmin
-    primes = [p for p in primes_up_to(args.pmax) if p > 2 and p >= pmin]
+    walk = filter(is_prime, range(min(args.pmax, MAX_MODULUS), max(pmin, 3) - 1, -1))
     # the largest prime first, so gap_scan refuses before any table is built
-    reports = [gap_scan(p, args.r, args.c) for p in reversed(primes)][::-1]
+    reports = [gap_scan(p, args.r, args.c) for p in walk][::-1]
     return OutputRecord(
         command="gaps",
         parameters={"pmin": pmin, "pmax": args.pmax, "r": args.r, "c": str(args.c)},
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--pmax", type=int, required=True, help="largest prime")
     p_scan.add_argument("-d", "--d", type=int, required=True, help="connection set size")
     p_scan.add_argument("--exact", action="store_true", help="compute exact beta per instance")
-    add_budget(p_scan, "work: the sum over primes p of C(p-1, d), about p-1 per class audited")
+    add_budget(p_scan, "running sum of C(p-1, d) over primes p; exit 3 at the first prime past it")
     p_scan.add_argument("--out", help="write the full report to this path")
     add_format(p_scan)
     p_scan.set_defaults(func=cmd_scan)

@@ -520,6 +520,8 @@ def spectrum(p: int | PrimeModulus, d: int, budget: int = DEFAULT_POINT_BUDGET) 
     p = _odd_modulus(p).p
     if d < 2:
         raise ValueError("spectra are defined for d >= 2")
+    if (d - 1) * (p.bit_length() - 1) >= 63:  # p^(d-1) >= 2^63: overflow at any budget
+        raise ValueError("spectrum counts would overflow int64")
     n_points = (p**d - 1) // (p - 1)
     check_budget(n_points, budget)
     if n_points * d >= 2**63:

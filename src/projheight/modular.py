@@ -56,15 +56,8 @@ def _strong_probable_prime(n: int, bases: Sequence[int]) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, ascending (sieve of Eratosthenes)."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for q in range(2, int(n**0.5) + 1):
-        if sieve[q]:
-            sieve[q * q :: q] = bytearray(len(range(q * q, n + 1, q)))
-    return list(itertools.compress(range(n + 1), sieve))
+    """All primes <= n, ascending, each found by is_prime."""
+    return list(filter(is_prime, range(2, n + 1)))
 
 
 @dataclass(frozen=True)

@@ -848,6 +848,5 @@ class TestScanCss:
     def test_budget(self):
         with pytest.raises(BudgetExceededError) as info:
             scan_css(23, 3, budget=10)
-        assert info.value.required == sum(
-            math.comb(p - 1, 3) for p in (3, 5, 7, 11, 13, 17, 19, 23)
-        )
+        # the walk stops at p = 7, the first prime whose running total passes 10
+        assert info.value.required == math.comb(4, 3) + math.comb(6, 3) == 24

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from projheight import cayley, cli, heights
+from projheight import cayley, cli, heights, modular
 from projheight.cayley import (
     BetaReport,
     CapExceededError,
@@ -22,7 +23,7 @@ from projheight.cayley import (
 )
 from projheight.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_OK, EXIT_VIOLATION, main
 from projheight.heights import line_fast_path
-from projheight.modular import primes_up_to
+from projheight.modular import MAX_MODULUS, primes_up_to
 from projheight.report import cell
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -32,6 +33,12 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """The environment for `python -m projheight` in a child process, importing this tree."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 def parse_csv(text):
@@ -362,7 +369,8 @@ class TestExitCodes:
             (["table", "--pmin", "3", "--pmax", "2239"], "5008644 evaluations, budget is 5000000"),
             # the first prime past the budget is named, 2239, not the largest, 2297
             (["table", "--pmin", "3", "--pmax", "2300"], "5008644 evaluations, budget is 5000000"),
-            (["scan", "--pmax", "101", "-d", "4"], "17085801 evaluations, budget is 5000000"),
+            # the running total at the first prime past the budget, 79, not the sum to 101
+            (["scan", "--pmax", "101", "-d", "4"], "5761666 evaluations, budget is 5000000"),
             (
                 ["cayley", "-p", "2000003", "-A", "1,2,3", "--girth"],
                 "6000009 evaluations, budget is 5000000",
@@ -377,6 +385,78 @@ class TestExitCodes:
     def test_budget_refusals(self, argv, err, capsys):
         # every command refuses through heights.check_budget, with one message
         assert run(argv, capsys) == (EXIT_LIMIT, "", f"error: enumeration needs {err}\n")
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            *(
+                (f"table --pmin 3 --pmax {n}", EXIT_LIMIT, "enumeration needs 5008644 evaluations")
+                for n in (10**8, 10**9, 10**11)
+            ),
+            ("gaps --pmax 100000000", EXIT_LIMIT, "enumeration needs 99999990 evaluations"),
+            ("gaps --pmax 1000000000", EXIT_LIMIT, "enumeration needs 999999938 evaluations"),
+            # 2^31 - 1 is prime, so the walk from 10^11 stops at MAX_MODULUS and refuses there
+            ("gaps --pmax 100000000000", EXIT_LIMIT, "enumeration needs 2147483648 evaluations"),
+            *(
+                (f"scan --pmax {n} -d 2", EXIT_LIMIT, "enumeration needs 5105773 evaluations")
+                for n in (10**8, 10**9, 10**11)
+            ),
+            # p^(d-1) passes 2^63 long before p**d would fit in memory, whatever the budget
+            ("spectrum -p 97 -d 3000", EXIT_INPUT, "spectrum counts would overflow int64"),
+        ],
+    )
+    def test_huge_ranges_refused_in_a_small_fresh_process(self, argv, code, err):
+        # a sieve of pmax + 1 bytes at 10^9 would raise MemoryError under this limit
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "projheight", *argv.split()],
+            capture_output=True,
+            env=child_env(),
+            timeout=60,
+            preexec_fn=limit_address_space,
+        )
+        if code == EXIT_LIMIT:
+            err += ", budget is 5000000"
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert proc.stderr.decode() == f"error: {err}\n"
+
+    def test_range_walks_stop_at_the_first_refused_prime(self, capsys, monkeypatch):
+        seen = []
+
+        def counting_is_prime(n):
+            seen.append(n)
+            return modular.is_prime(n)
+
+        monkeypatch.setattr("projheight.cli.is_prime", counting_is_prime)
+        monkeypatch.setattr("projheight.cayley.is_prime", counting_is_prime)
+        # table tests 5..2239, gaps only 2^31 - 1, and scan 3..577, where the d = 2 total passes
+        walks = [
+            ("table --pmin 3 --pmax 100000000000", range(5, 2240)),
+            ("gaps --pmax 100000000000", [MAX_MODULUS]),
+            ("scan --pmax 100000000000 -d 2", range(3, 578)),
+        ]
+        for argv, tested in walks:
+            seen.clear()
+            code, out, _ = run(argv.split(), capsys)
+            assert (code, out) == (EXIT_LIMIT, "")
+            assert seen == list(tested), argv
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (f"table --pmin {MAX_MODULUS + 2} --pmax 100000000000", "primes"),
+            (f"gaps --pmin {MAX_MODULUS + 1} --pmax 100000000000", "primes"),
+            (f"scan --pmax 100000000000 -d {MAX_MODULUS}", "instances"),
+        ],
+    )
+    def test_range_past_max_modulus_is_empty(self, argv, count, capsys):
+        # no prime past MAX_MODULUS is a modulus, so the walk tests no number at all
+        code, out, err = run([*argv.split(), "--format", "json"], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        assert (payload["rows"], payload["summary"][count]) == ([], 0)
 
     @pytest.mark.parametrize(
         "cap, argv, err",
@@ -738,9 +818,10 @@ def test_module_entry_point_matches_main(capsys):
     code = main(argv)
     out = capsys.readouterr().out
     assert (code, out) == (EXIT_OK, (GOLDEN / "height.text").read_text(encoding="utf-8"))
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
-        [sys.executable, "-m", "projheight", *argv], capture_output=True, env=env, timeout=60
+        [sys.executable, "-m", "projheight", *argv],
+        capture_output=True,
+        env=child_env(),
+        timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), b"")
